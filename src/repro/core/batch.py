@@ -49,6 +49,9 @@ with its own equivalence argument:
   individual records would have; the dispatch handler re-expands the
   cardinality into ``events_dispatched``/per-kind tallies and the
   delivered counter.
+* **Tick groups** (:data:`~repro.sim.events.KIND_TICK_BURST`): the tick
+  timers of drivers sharing a deadline travel as one heap record, split
+  per deadline whenever they diverge (see :func:`_push_ticks`).
 * **Lazy lost-timer re-arm**: instead of cancel-plus-push per message, the
   live ``lost`` record's deadline slot is advanced in place and the queue
   re-inserts it if the stale heap entry ever surfaces (see
@@ -56,6 +59,14 @@ with its own equivalence argument:
   exactly like the scalar chain of cancelled-and-re-pushed records; ties
   keep scalar order because extension order equals the original per-class
   push order.
+
+**The t = 0 wiring** rides the same kernel.  :func:`start_ticks` arms the
+population's first ticks as tick groups instead of dispatching ``Start``
+per node, and ``E_0`` is announced as one
+:data:`~repro.sim.events.KIND_DISCOVER_BURST` record that
+:meth:`NodeArrayTable.discover_burst` executes in record order, greetings
+leaving as one delivery burst (see
+:meth:`~repro.network.transport.Transport.announce_initial_edges`).
 
 The table only builds -- and the batch handlers only engage -- when the
 execution provably fits the fast path; anything else (baseline cores,
@@ -73,7 +84,7 @@ no such gate -- delivery handlers never send.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, cast
 
 import numpy as np
 import numpy.typing as npt
@@ -362,43 +373,62 @@ class NodeArrayTable:
         constants (see module docstring), so nothing a tick handler
         schedules can land at the current timestamp.  Mixed-key runs (any
         ``lost`` timer present) replay scalar dispatch in record order --
-        already a win over per-event kernel turns; all-tick runs run one
-        fused loop: per record sync + payload capture + sends (in scalar
-        order -- sends consume sequence numbers in record order) + tick
-        re-arm, then the burst push, then vectorized AdjustClock.  Payloads
-        are captured *before* AdjustClock exactly as the scalar handler
-        reads them, the re-arm deadline depends only on the post-sync
-        ``H``, and hoisting AdjustClock after the re-arms is sound because
-        it touches only core state the re-arms never read; the re-arm
-        records land in a different priority class from the burst, so the
-        permuted sequence numbers are unobservable.  Each tick record is
-        re-pushed *in place* (it just fired, its payload is already
-        correct, and the kernel skips requeued records when recycling).
-        When the bulk-send guards hold (no tracing, no edge flip ever),
-        the run's sends travel as one burst record; otherwise each send
-        goes through :meth:`Transport.send` unchanged.
+        already a win over per-event kernel turns; all-tick runs go
+        through :meth:`_tick_drivers` and then re-arm via
+        :func:`_push_ticks`, handing over the fired records so singleton
+        deadlines re-push in place (each just fired, its payload is
+        already correct, and the kernel skips requeued records when
+        recycling).
         """
         for ev in records:
             if ev.b != _TICK:
                 for rec in records:
                     rec.a._fire_timer(rec.b)
                 return
-        sim = self.sim
-        now = sim.now
+        drivers = [ev.a for ev in records]
+        fts = self._tick_drivers(drivers)
+        _push_ticks(self.sim, drivers, fts, records)
+
+    def handle_tick_group(self, ev: ScheduledEvent) -> None:
+        """Execute one tick-group record (see :data:`KIND_TICK_BURST`).
+
+        Semantically identical to :meth:`handle_timer_batch` over the
+        constituent drivers' tick records, in list order (which is the
+        original record order).  In the steady state every constituent's
+        next deadline coincides again and the group re-pushes *itself* --
+        same record, same driver list, fresh sequence number -- so a tick
+        cycle of n nodes costs one heappush/heappop pair and zero
+        ``_timers`` writes (each driver's entry already aliases the
+        group).  If the deadlines diverge, the group splits into one group
+        per deadline (see :func:`_push_ticks`).
+        """
+        fts = self._tick_drivers(ev.a)
+        if fts.count(fts[0]) == len(fts):
+            self.sim.queue.repush(ev, fts[0])
+        else:
+            _push_ticks(self.sim, ev.a, fts)
+
+    def _tick_drivers(self, drivers: "list[ClockSyncNode]") -> list[float]:
+        """Run the tick handlers of ``drivers`` (in order) minus the re-arm.
+
+        One fused loop: per driver sync + payload capture + sends (in
+        scalar order -- sends consume sequence numbers in driver order),
+        then the burst push, then vectorized AdjustClock.  Payloads are
+        captured *before* AdjustClock exactly as the scalar handler reads
+        them, and hoisting AdjustClock after the sends is sound because it
+        touches only core state the sends never read.  When the bulk-send
+        guards hold (no tracing, no edge flip ever), the sends travel as
+        one burst record; otherwise each goes through
+        :meth:`Transport.send` unchanged.  Returns each driver's re-arm
+        deadline, which depends only on the post-sync ``H``; the caller
+        pushes the re-arms (a different priority class from the burst, so
+        their permuted sequence numbers are unobservable).
+        """
+        now = self.sim.now
         cores = self.cores
         rates = self.rates
         transport = self.transport
-        queue = sim.queue
-        free = queue._free
-        heap = queue._heap
-        heappush = heapq.heappush
-        delayv = self.send_delay
-        bulk = (
-            delayv is not None
-            and transport.edge_flips == 0
-            and transport._trace is None
-            and transport._tracer is None
-        )
+        bulk = self.can_bulk_send()
         send = transport.send
         ups_sorted = self._ups_sorted
         ti = self.tick_interval
@@ -412,9 +442,7 @@ class NodeArrayTable:
         capp = tick_cores.append
         fts: list[float] = []
         ftapp = fts.append
-        seq = queue._seq
-        for ev in records:
-            d = ev.a
+        for d in drivers:
             nid = d.node_id
             core = cores[nid]
             h = rates[nid] * now
@@ -442,262 +470,95 @@ class NodeArrayTable:
                     vext(entry[0])
                     pext((payload,) * k)
                 else:
-                    # Transport.send consumes sequence numbers itself:
-                    # hand the counter over and take it back after.
-                    queue._seq = seq
                     for v in sorted(ups):
                         core.messages_sent += 1
                         send(nid, v, payload)
-                    seq = queue._seq
             fire_t = (h + ti) / rates[nid]
             if fire_t < now:
                 fire_t = now
             ftapp(fire_t)
             capp(core)
         if u_list:
-            card = len(u_list)
-            t_del = now + delayv  # type: ignore[operator]
-            if free:
-                rec = free.pop()
-                rec.time = t_del
-                rec.priority = PRIORITY_DELIVERY
-                rec.seq = seq
-                rec.kind = KIND_DELIVER_BURST
-                rec.fn = None
-                rec.a = u_list
-                rec.b = v_list
-                rec.c = p_list
-                rec.d = now
-                rec.e = card
-                rec.cancelled = False
-                rec.gen += 1
-                rec.label = "deliver+"
-            else:
-                queue.allocations += 1
-                rec = ScheduledEvent(
-                    t_del, PRIORITY_DELIVERY, seq, None, "deliver+",
-                    kind=KIND_DELIVER_BURST, a=u_list, b=v_list, c=p_list,
-                    d=now, e=card,
-                )
-            rec.queued = True
-            heappush(heap, (t_del, PRIORITY_DELIVERY, seq, rec))
-            seq += 1
-            queue._live += 1
-            transport.stats.sent += card
-        # Tick re-arm.  When every deadline of the run coincides (a rate
-        # class in lockstep -- the steady state here), the class's pending
-        # ticks collapse into a single group record: one heap entry instead
-        # of one per node, and on every later cycle the group re-pushes
-        # itself with the same driver list (see :meth:`handle_tick_group`).
-        # The constituents would have held contiguous sequence numbers in
-        # this tie class (deliveries land in a different priority class),
-        # so the group -- ordered by its first constituent's position --
-        # preserves scalar tie order.
-        if len(records) > 1 and fts.count(fts[0]) == len(fts):
-            ft0 = fts[0]
-            grp_card = len(records)
-            if free:
-                grp = free.pop()
-                grp.time = ft0
-                grp.priority = PRIORITY_TIMER
-                grp.seq = seq
-                grp.kind = KIND_TICK_BURST
-                grp.fn = None
-                grp.a = [ev.a for ev in records]
-                grp.b = None
-                grp.c = None
-                grp.d = None
-                grp.e = grp_card
-                grp.cancelled = False
-                grp.gen += 1
-                grp.label = "tick+"
-            else:
-                queue.allocations += 1
-                grp = ScheduledEvent(
-                    ft0, PRIORITY_TIMER, seq, None, "tick+",
-                    kind=KIND_TICK_BURST, a=[ev.a for ev in records],
-                    e=grp_card,
-                )
-            grp.queued = True
-            heappush(heap, (ft0, PRIORITY_TIMER, seq, grp))
-            seq += 1
-            for ev in records:
-                ev.a._timers[_TICK] = grp
-            queue._live += 1
-        else:
-            for ev, ft in zip(records, fts):
-                # The record just fired and still carries the right
-                # kind/payload/label, so re-push it as-is (only lost
-                # re-arms ever set the lazy-deadline slot ``c``).
-                ev.time = ft
-                ev.seq = seq
-                ev.queued = True
-                heappush(heap, (ft, PRIORITY_TIMER, seq, ev))
-                seq += 1
-                ev.a._timers[_TICK] = ev
-            queue._live += len(records)
-        queue._seq = seq
+            self._push_deliver_burst(u_list, v_list, p_list)
         adjust_clocks_batch(tick_cores)
+        return fts
 
-    def handle_tick_group(self, ev: ScheduledEvent) -> None:
-        """Execute one tick-group record (see :data:`KIND_TICK_BURST`).
+    def discover_burst(self, nodes: list[int], others: list[int]) -> None:
+        """Execute one ``E_0`` discovery burst's constituents in record order.
 
-        Semantically identical to :meth:`handle_timer_batch` over the
-        constituent drivers' tick records, in list order (which is the
-        original record order).  In the steady state every constituent's
-        next deadline coincides again and the group re-pushes *itself* --
-        same record, same driver list, fresh sequence number -- so a tick
-        cycle of n nodes costs one heappush/heappop pair and zero
-        ``_timers`` writes (each driver's entry already aliases the
-        group).  If the deadlines ever diverge, the group dissolves back
-        into individual records.
+        Called by :meth:`Transport._handle_discover_burst` after its
+        guards (valid table, bulk sends, no edge flip ever) proved every
+        constituent a plain ``discover(add)`` of a live edge.  Each runs
+        ``DCSACore._handle_discover_add`` at scalar arithmetic: sync
+        ``v``, greet ``u`` with ``(L, Lmax)``, add ``u`` to Upsilon,
+        AdjustClock.  A node appears once per incident edge, and its
+        later greetings carry the clock its earlier AdjustClock left, so
+        the loop is strictly sequential.  The greetings would have been
+        consecutive pushes into one ``(time, priority)`` class -- the
+        handler pushes nothing else -- so they leave as one delivery burst.
         """
-        sim = self.sim
-        now = sim.now
+        now = self.sim.now
         cores = self.cores
+        drivers = self.drivers
         rates = self.rates
+        b0 = self.b0
+        intercept = self.b_intercept
+        slope = self.b_slope
+        payloads: list[Any] = []
+        papp = payloads.append
+        for v, u in zip(nodes, others):
+            core = cores[v]
+            h = rates[v] * now
+            dh = h - core.h_last
+            rows = core.gamma._rows
+            if dh != 0.0:
+                core._L += dh
+                core._Lmax += dh
+                for row in rows.values():
+                    row.l_est += dh
+                core.h_last = h
+            drivers[v]._t_last = now
+            L = core._L
+            ceiling = core._Lmax
+            papp((L, ceiling))
+            core.messages_sent += 1
+            core.upsilon.add(u)
+            for row in rows.values():
+                b = intercept - slope * (h - row.added_h)
+                if b < b0:
+                    b = b0
+                cand = row.l_est + b
+                if cand < ceiling:
+                    ceiling = cand
+            if ceiling > L:
+                core.total_jump += ceiling - L
+                core.jumps += 1
+                core._L = ceiling
+        self._push_deliver_burst(nodes, others, payloads)
+
+    def can_bulk_send(self) -> bool:
+        """Whether sends may bypass :meth:`Transport.send` (module doc)."""
         transport = self.transport
-        queue = sim.queue
-        free = queue._free
-        heap = queue._heap
-        heappush = heapq.heappush
-        delayv = self.send_delay
-        bulk = (
-            delayv is not None
+        return (
+            self.send_delay is not None
             and transport.edge_flips == 0
             and transport._trace is None
             and transport._tracer is None
         )
-        send = transport.send
-        ups_sorted = self._ups_sorted
-        ti = self.tick_interval
-        drivers_list = ev.a
-        u_list: list[int] = []
-        v_list: list[int] = []
-        p_list: list[Any] = []
-        uext = u_list.extend
-        vext = v_list.extend
-        pext = p_list.extend
-        tick_cores: list[DCSACore] = []
-        capp = tick_cores.append
-        seq = queue._seq
-        ft0 = -1.0
-        same = True
-        for d in drivers_list:
-            nid = d.node_id
-            core = cores[nid]
-            h = rates[nid] * now
-            dh = h - core.h_last
-            if dh != 0.0:
-                core._L += dh
-                core._Lmax += dh
-                for row in core.gamma._rows.values():
-                    row.l_est += dh
-                core.h_last = h
-            d._t_last = now
-            ups = core.upsilon
-            if ups:
-                payload = (core._L, core._Lmax)
-                if bulk:
-                    k = len(ups)
-                    entry = ups_sorted[nid]
-                    if entry is None or len(entry[0]) != k:
-                        entry = (sorted(ups), (nid,) * k)
-                        ups_sorted[nid] = entry
-                    core.messages_sent += k
-                    uext(entry[1])
-                    vext(entry[0])
-                    pext((payload,) * k)
-                else:
-                    queue._seq = seq
-                    for v in sorted(ups):
-                        core.messages_sent += 1
-                        send(nid, v, payload)
-                    seq = queue._seq
-            fire_t = (h + ti) / rates[nid]
-            if fire_t < now:
-                fire_t = now
-            if ft0 < 0.0:
-                ft0 = fire_t
-            elif fire_t != ft0:
-                same = False
-            capp(core)
-        if u_list:
-            card = len(u_list)
-            t_del = now + delayv  # type: ignore[operator]
-            if free:
-                rec = free.pop()
-                rec.time = t_del
-                rec.priority = PRIORITY_DELIVERY
-                rec.seq = seq
-                rec.kind = KIND_DELIVER_BURST
-                rec.fn = None
-                rec.a = u_list
-                rec.b = v_list
-                rec.c = p_list
-                rec.d = now
-                rec.e = card
-                rec.cancelled = False
-                rec.gen += 1
-                rec.label = "deliver+"
-            else:
-                queue.allocations += 1
-                rec = ScheduledEvent(
-                    t_del, PRIORITY_DELIVERY, seq, None, "deliver+",
-                    kind=KIND_DELIVER_BURST, a=u_list, b=v_list, c=p_list,
-                    d=now, e=card,
-                )
-            rec.queued = True
-            heappush(heap, (t_del, PRIORITY_DELIVERY, seq, rec))
-            seq += 1
-            queue._live += 1
-            transport.stats.sent += card
-        if same:
-            # Steady state: re-push the group itself at the shared
-            # deadline; every driver's ``_timers`` entry already points at
-            # it.
-            ev.time = ft0
-            ev.seq = seq
-            ev.queued = True
-            heappush(heap, (ft0, PRIORITY_TIMER, seq, ev))
-            seq += 1
-            queue._live += 1
-        else:
-            # Deadlines diverged: dissolve into individual tick records.
-            for d in drivers_list:
-                nid = d.node_id
-                core = cores[nid]
-                fire_t = (core.h_last + ti) / rates[nid]
-                if fire_t < now:
-                    fire_t = now
-                if free:
-                    rec = free.pop()
-                    rec.time = fire_t
-                    rec.priority = PRIORITY_TIMER
-                    rec.seq = seq
-                    rec.kind = KIND_TIMER
-                    rec.fn = None
-                    rec.a = d
-                    rec.b = _TICK
-                    rec.c = None
-                    rec.d = None
-                    rec.e = None
-                    rec.cancelled = False
-                    rec.gen += 1
-                    rec.label = "timer"
-                else:
-                    queue.allocations += 1
-                    rec = ScheduledEvent(
-                        fire_t, PRIORITY_TIMER, seq, None, "timer",
-                        kind=KIND_TIMER, a=d, b=_TICK,
-                    )
-                rec.queued = True
-                heappush(heap, (fire_t, PRIORITY_TIMER, seq, rec))
-                seq += 1
-                d._timers[_TICK] = rec
-            queue._live += len(drivers_list)
-        queue._seq = seq
-        adjust_clocks_batch(tick_cores)
+
+    def _push_deliver_burst(
+        self, us: list[int], vs: list[int], payloads: list[Any]
+    ) -> None:
+        """Push one ``KIND_DELIVER_BURST`` for bulk sends made ``now``."""
+        sim = self.sim
+        now = sim.now
+        card = len(us)
+        sim.queue.push_typed(
+            now + self.send_delay,  # type: ignore[operator]
+            PRIORITY_DELIVERY, KIND_DELIVER_BURST, us, vs, payloads, now,
+            None, "deliver+", e=card,
+        )
+        self.transport.stats.sent += card
 
     # ------------------------------------------------------------------ #
     # Dense reads (oracle sampling)
@@ -725,6 +586,117 @@ class NodeArrayTable:
         h = self.rates_arr * t
         result: npt.NDArray[np.float64] = lm + (h - hl)
         return result
+
+
+def _push_ticks(
+    sim: Simulator,
+    drivers: "list[ClockSyncNode]",
+    fts: list[float],
+    fired: list[ScheduledEvent] | None = None,
+) -> None:
+    """Arm the tick timers of ``drivers`` at deadlines ``fts`` (list order).
+
+    Drivers sharing a deadline collapse into one ``KIND_TICK_BURST`` group
+    record (a lone driver gets a plain ``KIND_TIMER`` record -- the
+    just-fired ``fired[i]`` re-pushed in place when supplied).  Sound
+    because every caller arms these timers inside one handler that pushes
+    nothing else into the timer priority class: under scalar dispatch the
+    drivers of one deadline would hold consecutive sequence numbers in
+    their ``(time, priority)`` class, so the group -- ordered by its first
+    constituent's position, with the constituents in list order -- sorts
+    exactly where they would, and records of distinct deadlines never
+    share a class, so their relative push order is unobservable.
+    """
+    queue = sim.queue
+    now = sim.now
+    buckets: dict[float, list[int]] = {}
+    for i, ft in enumerate(fts):
+        members = buckets.get(ft)
+        if members is None:
+            buckets[ft] = [i]
+        else:
+            members.append(i)
+    for ft, idx in buckets.items():
+        if len(idx) == 1:
+            i = idx[0]
+            d = drivers[i]
+            if fired is not None:
+                rec = fired[i]
+                queue.repush(rec, ft)
+            else:
+                rec = queue.push_typed(
+                    ft, PRIORITY_TIMER, KIND_TIMER, d, _TICK, None, now, None,
+                    "timer", e=1,
+                )
+            d._timers[_TICK] = rec
+        else:
+            group = [drivers[i] for i in idx]
+            grp = queue.push_typed(
+                ft, PRIORITY_TIMER, KIND_TICK_BURST, group, None, None, now,
+                None, "tick+", e=len(group),
+            )
+            for d in group:
+                d._timers[_TICK] = grp
+
+
+def start_ticks(transport: "Transport", drivers: "list[ClockSyncNode]") -> bool:
+    """Start a population by arming its first ticks as tick groups.
+
+    ``Start`` on a :class:`DCSACore` arms one timer, ``tick`` after the
+    core's stagger, and touches no other state (at ``t = 0`` the lazy sync
+    is a no-op).  So under the constant-policy gate that registers the
+    tick-group handlers, and when every driver passes the table's
+    per-driver checks, the ``n`` ``Start`` dispatches reduce to pushing
+    the ``n`` first-tick timers -- grouped per deadline by
+    :func:`_push_ticks`, so an unstaggered population starts as a single
+    group.  Returns ``False``, having done nothing, when the gate declines;
+    the caller then dispatches ``Start`` per node.  A group that meets a
+    declined table at dispatch replays its constituents' timers in order
+    (see :meth:`Transport._handle_tick_burst`), so correctness never hangs
+    on the table gate.
+    """
+    sim = transport.sim
+    if (
+        not transport._constant_policies
+        or transport._trace is not None
+        or transport._tracer is not None
+    ):
+        return False
+    now = sim.now
+    node_seq = transport._node_seq
+    fts: list[float] = []
+    for d in drivers:
+        if driver_gate_reason(d.node_id, d, node_seq) is not None:
+            return False
+        clock = d.clock
+        stagger = cast(DCSACore, d.core)._tick_stagger
+        # The scalar path: DCSACore._handle_start -> SetTimer(tick,
+        # stagger) -> ClockSyncNode._arm_timer.
+        ft = clock.time_at(clock.value(now) + stagger)
+        if ft < now:
+            ft = now
+        fts.append(ft)
+    _push_ticks(sim, drivers, fts)
+    return True
+
+
+def driver_gate_reason(
+    i: int, d: "ClockSyncNode | None", node_seq: list[Any]
+) -> str | None:
+    """Why driver slot ``i`` cannot run batched (``None`` if it can)."""
+    if d is None or i >= len(node_seq) or node_seq[i] is not d:
+        return f"node id {i} has no registered driver"
+    if type(d.core) is not DCSACore:
+        return f"node {i} runs {type(d.core).__name__}, not a plain DCSACore"
+    clock = d.clock
+    if type(clock) is not ConstantRateClock or clock.rate <= 0.0:
+        return (
+            f"node {i} clock is {type(clock).__name__}, not a "
+            "positive-rate ConstantRateClock"
+        )
+    if d.effect_log is not None or d._tracer is not None or d.trace.enabled:
+        return f"node {i} has a per-event observer attached"
+    return None
 
 
 def build_node_array_table(
@@ -770,31 +742,18 @@ def build_node_array_table(
     rates: list[float] = []
     params: Any = None
     for i, d in enumerate(drivers):
-        if d is None or (i >= len(node_seq) or node_seq[i] is not d):
-            _decline(f"node id {i} has no registered driver")
+        reason = driver_gate_reason(i, d, node_seq)
+        if reason is not None:
+            _decline(reason)
             return None
-        if type(d.core) is not DCSACore:
-            _decline(
-                f"node {i} runs {type(d.core).__name__}, not a plain DCSACore"
-            )
-            return None
-        clock = d.clock
-        if type(clock) is not ConstantRateClock or clock.rate <= 0.0:
-            _decline(
-                f"node {i} clock is {type(clock).__name__}, not a "
-                "positive-rate ConstantRateClock"
-            )
-            return None
-        if d.effect_log is not None or d._tracer is not None or d.trace.enabled:
-            _decline(f"node {i} has a per-event observer attached")
-            return None
+        assert d is not None
         if params is None:
             params = d.core.params
         elif d.core.params is not params:
             _decline(f"node {i} does not share the population's SystemParams")
             return None
         checked.append(d)
-        rates.append(clock.rate)
+        rates.append(cast(ConstantRateClock, d.clock).rate)
     table = NodeArrayTable(sim, transport, checked, rates)
     delay = transport.delay_policy
     if (

@@ -526,7 +526,6 @@ class DCSACore(ProtocolCore):
         tick_stagger: float = 0.0,
     ) -> None:
         super().__init__(node_id, params)
-        params.validate()
         #: Upsilon_u -- nodes u believes it shares an edge with.
         self.upsilon: set[int] = set()
         #: Gamma_u with C^v_u and L^v_u.
@@ -534,11 +533,14 @@ class DCSACore(ProtocolCore):
         self._tick_stagger = float(tick_stagger)
         # Hot-path constants: params exposes these as derived properties
         # whose arithmetic would otherwise be recomputed on every message
-        # and every AdjustClock evaluation.
-        self._b0 = params.b0
-        self._b_intercept = params.b_intercept
-        self._b_slope = params.b_slope
-        self._delta_t_prime = params.delta_t_prime
+        # and every AdjustClock evaluation.  ``core_constants`` validates
+        # and derives them once per params instance, not once per node.
+        (
+            self._b0,
+            self._b_intercept,
+            self._b_slope,
+            self._delta_t_prime,
+        ) = params.core_constants
 
     def _advance_estimates(self, dh: float) -> None:
         self.gamma.advance(dh)

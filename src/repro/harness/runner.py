@@ -24,6 +24,7 @@ from ..adversary.base import Adversary
 from ..analysis.metrics import max_global_skew, max_local_skew
 from ..analysis.recorder import RunRecord, SkewRecorder
 from ..baselines import FreeRunningNode, MaxSyncNode, StaticGradientNode
+from ..core.batch import REASON_KEY, start_ticks
 from ..core.dcsa import DCSANode
 from ..core.node import ClockSyncNode
 from ..network.channels import ConstantDelay, DelayPolicy, UniformDelay
@@ -525,6 +526,21 @@ class Experiment:
     """A fully wired, not-yet-run execution (exposed for tests)."""
 
     def __init__(self, cfg: ExperimentConfig) -> None:
+        # Wiring allocates O(n + |E_0|) long-lived objects and no garbage
+        # worth collecting, so the cyclic collector is paused for it, as
+        # for the event loop (see run()): at n=65536 its generational
+        # passes over the growing heap would take about a third of the
+        # build.  Restored on exit, even on error.
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
+        try:
+            self._wire(cfg)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def _wire(self, cfg: ExperimentConfig) -> None:
         cfg.params.validate()
         runtime_name = (
             cfg.runtime if isinstance(cfg.runtime, str) else cfg.runtime.name
@@ -650,9 +666,12 @@ class Experiment:
                 node.attach_tracer(self.tracer)
             if self.oracle is not None:
                 self.oracle.attach_tracer(self.tracer)
-        # 7. Start node activity.
-        for i in sorted(self.nodes):
-            self.nodes[i].start()
+        # 7. Start node activity.  Under the batch gate the population's
+        #    first ticks are armed directly as tick groups, which is what
+        #    the n Start dispatches would do (see start_ticks).
+        if not start_ticks(self.transport, self.node_list):
+            for node in self.node_list:
+                node.start()
         # 8. Telemetry (ambient, not config: the config dict is the cache
         #    identity and a pure observer must not change it).  Polled
         #    readbacks only -- instrumenting schedules nothing and draws
@@ -698,8 +717,6 @@ class Experiment:
                 times=np.empty(0),
                 clocks=np.empty((0, len(node_ids))),
             )
-        from ..core.batch import REASON_KEY
-
         return RunResult(
             config=self.cfg,
             record=record,

@@ -39,12 +39,13 @@ Nodes registered with the transport must provide three callbacks::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import TYPE_CHECKING, Any, Protocol, cast
 
 from ..sim.events import (
     KIND_DELIVER,
     KIND_DELIVER_BURST,
     KIND_DISCOVER,
+    KIND_DISCOVER_BURST,
     KIND_TICK_BURST,
     KIND_TIMER,
     PRIORITY_DELIVERY,
@@ -61,6 +62,8 @@ from ..tracing.spans import (
 from .channels import ConstantDelay, DelayPolicy
 from .discovery import ConstantDiscovery, DiscoveryPolicy
 from .graph import DynamicGraph
+
+_TICK = "tick"
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
     from ..core.batch import NodeArrayTable
@@ -122,6 +125,10 @@ class Transport:
         :math:`\\mathcal{D}`; discovery latencies are validated against it.
     """
 
+    #: Whether :meth:`announce_initial_edges` may aggregate ``E_0`` into
+    #: one burst record under the constant-policy gate.
+    burst_announce = True
+
     def __init__(
         self,
         sim: Simulator,
@@ -165,6 +172,9 @@ class Transport:
         #: verdict cannot change mid-run, so it is cached), else the built
         #: :class:`~repro.core.batch.NodeArrayTable`.
         self._batch_table: "NodeArrayTable | None | bool" = None
+        #: The constant-policy gate: batch kernel on, and positive
+        #: constant delay and discovery policies (decided once, below).
+        self._constant_policies = False
         sim.set_handler(KIND_DELIVER, self._handle_deliver)
         sim.set_handler(KIND_DELIVER_BURST, self._handle_deliver_burst)
         sim.set_handler(KIND_DISCOVER, self._handle_discover)
@@ -189,13 +199,18 @@ class Transport:
                 and type(disc) is ConstantDiscovery
                 and disc.value > 0.0
             ):
+                self._constant_policies = True
                 sim.set_batch_handler(KIND_TIMER, self._handle_timer_batch)
-                # Tick-group records only ever originate from the batch
-                # table's timer handler, so their handlers ride the same
-                # gate.
+                # Tick groups and discovery bursts only ever originate
+                # under this gate (the batch table's timer handlers, the
+                # batched start, announce_initial_edges), so their handlers
+                # ride it too.
                 sim.set_handler(KIND_TICK_BURST, self._handle_tick_burst)
                 sim.set_batch_handler(
                     KIND_TICK_BURST, self._handle_tick_burst_run
+                )
+                sim.set_handler(
+                    KIND_DISCOVER_BURST, self._handle_discover_burst
                 )
         graph.subscribe(self._on_graph_event)
 
@@ -256,10 +271,46 @@ class Transport:
         Initial edges are known to their endpoints from the start; this is
         scheduled (rather than called directly) so nodes see the discovery
         through the ordinary event pipeline before their first tick.
+
+        Under the constant-policy gate (and with legacy tracing off) every
+        announcement shares one fire time, so ``E_0`` travels as a single
+        :data:`~repro.sim.events.KIND_DISCOVER_BURST` record carrying the
+        ``(node, other)`` pairs in the order the individual records would
+        have been pushed.  Those records would have held consecutive
+        sequence numbers in one ``(time, priority)`` class, so the burst
+        sorts exactly where they would (see :meth:`_handle_discover_burst`).
         """
+        now = self.sim.now
+        if (
+            not self._constant_policies
+            or not self.burst_announce
+            or self._trace is not None
+        ):
+            for u, v in self.graph.edges():
+                self._schedule_discovery(u, v, added=True, change_time=now)
+                self._schedule_discovery(v, u, added=True, change_time=now)
+            return
+        lat = cast(ConstantDiscovery, self.discovery_policy).value
+        if lat > self.discovery_bound + 1e-9:
+            raise ValueError(
+                f"discovery latency {lat!r} outside [0, {self.discovery_bound}]"
+            )
+        registered = self._nodes
+        nodes: list[int] = []
+        others: list[int] = []
         for u, v in self.graph.edges():
-            self._schedule_discovery(u, v, added=True, change_time=self.sim.now)
-            self._schedule_discovery(v, u, added=True, change_time=self.sim.now)
+            # _schedule_discovery skips unregistered endpoints.
+            if u in registered:
+                nodes.append(u)
+                others.append(v)
+            if v in registered:
+                nodes.append(v)
+                others.append(u)
+        if nodes:
+            self.sim.queue.push_typed(
+                now + lat, PRIORITY_DELIVERY, KIND_DISCOVER_BURST, nodes,
+                others, None, None, None, "discover+", e=len(nodes),
+            )
 
     # ------------------------------------------------------------------ #
     # Sending
@@ -376,26 +427,42 @@ class Transport:
         for rec in records:
             rec.a._fire_timer(rec.b)
 
+    def _count_constituents(
+        self, ev: ScheduledEvent, burst_kind: int, kind: int
+    ) -> int:
+        """Re-book an aggregate record's dispatch as its ``ev.e`` constituents.
+
+        The kernel counted the record as one dispatch of ``burst_kind``;
+        the tallies must match the individual-record execution.
+        """
+        sim = self.sim
+        card: int = ev.e
+        sim.events_dispatched += card - 1
+        kind_counts = sim.kind_counts
+        if kind_counts is not None:
+            kind_counts[burst_kind] -= 1
+            kind_counts[kind] += card
+        return card
+
     def _handle_tick_burst(self, ev: ScheduledEvent) -> None:
         """Kernel handler for ``KIND_TICK_BURST`` records.
 
         A group stands for the pending ticks of ``ev.e`` drivers (see
         :mod:`repro.sim.events`); the kernel counted the record as one
         dispatch, so re-expand the cardinality into the dispatch tallies
-        before executing.  Groups are only ever created by the batch
-        table's timer handler, so the table is always built and valid
-        here.
+        before executing.  A group armed by the batched start can meet a
+        declined table (an observer attached after construction); it then
+        replays its constituents' tick timers in list order, which is the
+        scalar dispatch order of the records it stands for.
         """
-        sim = self.sim
-        card = ev.e
-        sim.events_dispatched += card - 1
-        kind_counts = sim.kind_counts
-        if kind_counts is not None:
-            kind_counts[KIND_TICK_BURST] -= 1
-            kind_counts[KIND_TIMER] += card
-        table = self._batch_table
-        assert table is not None and table is not False
-        table.handle_tick_group(ev)
+        self._count_constituents(ev, KIND_TICK_BURST, KIND_TIMER)
+        table = self._ensure_batch_table()
+        if table is not False:
+            assert not isinstance(table, bool)
+            table.handle_tick_group(ev)
+            return
+        for d in ev.a:
+            d._fire_timer(_TICK)
 
     def _handle_tick_burst_run(self, records: list[ScheduledEvent]) -> None:
         """Kernel batch handler for runs of tick groups (rare tie case)."""
@@ -410,13 +477,7 @@ class Transport:
         dispatch, so re-expand the cardinality into the dispatch tallies
         before delivering.
         """
-        sim = self.sim
-        card = ev.e
-        sim.events_dispatched += card - 1
-        kind_counts = sim.kind_counts
-        if kind_counts is not None:
-            kind_counts[KIND_DELIVER_BURST] -= 1
-            kind_counts[KIND_DELIVER] += card
+        card = self._count_constituents(ev, KIND_DELIVER_BURST, KIND_DELIVER)
         table = self._batch_table
         if (
             table is not None
@@ -566,9 +627,35 @@ class Transport:
         the dedicated failed-send absence path, which additionally clears
         its dedup key.
         """
-        node_id, other, added = ev.a, ev.b, ev.c
         if ev.d:
-            self._pending_absence.discard((node_id, other))
+            self._pending_absence.discard((ev.a, ev.b))
+        self._discover(ev.a, ev.b, ev.c)
+
+    def _handle_discover_burst(self, ev: ScheduledEvent) -> None:
+        """Kernel handler for ``KIND_DISCOVER_BURST`` records (``E_0``).
+
+        Re-expands the cardinality into the dispatch tallies like a
+        delivery burst.  With a valid table, bulk sends and no edge flip
+        ever, every constituent is a live ``discover(add)`` and the table
+        runs them (:meth:`~repro.core.batch.NodeArrayTable.discover_burst`);
+        under churn, tracing or a declined gate the constituents replay
+        through the scalar discovery in record order, exactly as their
+        individual records would have been dispatched.
+        """
+        card = self._count_constituents(ev, KIND_DISCOVER_BURST, KIND_DISCOVER)
+        table = self._ensure_batch_table()
+        if table is not False:
+            assert not isinstance(table, bool)
+            if table.can_bulk_send():
+                table.discover_burst(ev.a, ev.b)
+                self.stats.discoveries_delivered += card
+                return
+        discover = self._discover
+        for node_id, other in zip(ev.a, ev.b):
+            discover(node_id, other, True)
+
+    def _discover(self, node_id: int, other: int, added: bool) -> None:
+        """One discovery notification at fire time (see :meth:`_handle_discover`)."""
         if self.graph.has_edge(node_id, other) == added:
             self.stats.discoveries_delivered += 1
             if self._trace is not None:

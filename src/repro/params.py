@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Any, Mapping
 
 __all__ = [
@@ -276,6 +277,19 @@ class SystemParams:
         """Absolute slope of the decreasing branch of ``B``:
         :math:`B_0 / ((1+\\rho)\\tau)` per unit of subjective edge age."""
         return self.b0 / ((1.0 + self.rho) * self.tau)
+
+    @cached_property
+    def core_constants(self) -> tuple[float, float, float, float]:
+        """Validated ``(b0, b_intercept, b_slope, delta_t_prime)``.
+
+        The hot-path constants every DCSA core caches.  Validation and the
+        derived-property chains run once per instance rather than once per
+        node: the tuple is cached in the instance ``__dict__`` (which the
+        frozen dataclass's fields, equality, hash and :meth:`to_dict` never
+        read), and a failed validation caches nothing.
+        """
+        self.validate()
+        return (self.b0, self.b_intercept, self.b_slope, self.delta_t_prime)
 
     def b_function(self, subjective_age: float) -> float:
         """The per-edge tolerance :math:`B(\\Delta t)` of Section 5.

@@ -49,6 +49,7 @@ __all__ = [
     "KIND_DELIVER_BURST",
     "KIND_TICK_BURST",
     "KIND_PAR_SHADOW",
+    "KIND_DISCOVER_BURST",
     "N_KINDS",
     "KIND_NAMES",
     "POOLABLE",
@@ -82,9 +83,10 @@ KIND_DISCOVER = 5
 #: per-kind tallies match the equivalent individual-record execution.
 KIND_DELIVER_BURST = 6
 #: Aggregated same-deadline tick timers (batch kernel only; see
-#: :mod:`repro.core.batch`).  One record stands for the pending ``tick``
-#: timers of ``e`` drivers whose deadlines coincide (a rate class in
-#: lockstep): ``a=[driver...]`` in re-arm order, ``e=cardinality``.  Each
+#: :mod:`repro.core.batch`, whose timer handlers and batched start arm
+#: them).  One record stands for the pending ``tick`` timers of ``e``
+#: drivers whose deadlines coincide (a rate class in lockstep):
+#: ``a=[driver...]`` in re-arm order, ``e=cardinality``.  Each
 #: constituent driver's ``_timers["tick"]`` aliases the group record.
 #: Creation relies on the invariant that nothing cancels a *pending* tick
 #: (the protocol core only ever cancels ``lost`` timers and nodes are
@@ -99,17 +101,25 @@ KIND_TICK_BURST = 7
 #: discovery) at exactly the point the serial execution would; it is
 #: excluded from ``events_dispatched`` accounting by the coordinator.
 KIND_PAR_SHADOW = 8
+#: Aggregated same-timestamp ``discover(add)`` notifications of ``E_0``
+#: (batch kernel only; see :meth:`repro.network.transport.Transport.
+#: announce_initial_edges`).  One record stands for ``e`` constituent
+#: ``KIND_DISCOVER`` records sharing one fire time: ``a=[node_id...]``,
+#: ``b=[other...]`` (parallel lists in announcement order),
+#: ``e=cardinality``.  The dispatch handler re-expands the cardinality into
+#: the dispatch tallies exactly like a delivery burst.
+KIND_DISCOVER_BURST = 9
 
-N_KINDS = 9
+N_KINDS = 10
 
 #: Human-readable kind labels, indexed by kind tag (telemetry, debugging).
 KIND_NAMES = (
     "callback", "deliver", "timer", "topology", "sample", "discover",
-    "deliver_burst", "tick_burst", "par_shadow",
+    "deliver_burst", "tick_burst", "par_shadow", "discover_burst",
 )
 
 #: Per-kind recycling eligibility, indexed by kind tag.
-POOLABLE = (False, True, True, True, True, True, True, True, True)
+POOLABLE = (False, True, True, True, True, True, True, True, True, True)
 
 
 class ScheduledEvent:

@@ -95,7 +95,7 @@ from typing import TYPE_CHECKING, Any, Callable, cast
 
 import numpy as np
 
-from ..core.batch import REASON_KEY, NodeArrayTable
+from ..core.batch import REASON_KEY, NodeArrayTable, driver_gate_reason
 from ..core.dcsa import adjust_clocks_batch
 from ..core.protocol import DCSACore
 from ..network.channels import ConstantDelay
@@ -118,7 +118,7 @@ from .events import (
 )
 from .partition import partition_ranges
 from .rng import RngFactory
-from .simulator import Simulator
+from .simulator import SimulationError, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
     from ..core.node import ClockSyncNode
@@ -218,6 +218,10 @@ class ParTransport(Transport):
     sends to non-local destinations are buffered as :data:`Envelope` rows
     and flushed by the worker at each barrier.
     """
+
+    #: ``E_0`` announcements stay individual records: each needs its own
+    #: global provenance key, which a burst record cannot carry.
+    burst_announce = False
 
     def __init__(
         self,
@@ -797,30 +801,17 @@ def build_par_table(
     params: Any = None
     for i in range(lo, hi):
         d = drivers[i]
-        if d is None or i >= len(node_seq) or node_seq[i] is not d:
-            _decline(f"node id {i} has no registered driver")
+        reason = driver_gate_reason(i, d, node_seq)
+        if reason is not None:
+            _decline(reason)
             return None
-        if type(d.core) is not DCSACore:
-            _decline(
-                f"node {i} runs {type(d.core).__name__}, not a plain DCSACore"
-            )
-            return None
-        clock = d.clock
-        if type(clock) is not ConstantRateClock or clock.rate <= 0.0:
-            _decline(
-                f"node {i} clock is {type(clock).__name__}, not a "
-                "positive-rate ConstantRateClock"
-            )
-            return None
-        if d.effect_log is not None or d._tracer is not None or d.trace.enabled:
-            _decline(f"node {i} has a per-event observer attached")
-            return None
+        assert d is not None
         if params is None:
             params = d.core.params
         elif d.core.params is not params:
             _decline(f"node {i} does not share the population's SystemParams")
             return None
-        rates[i] = clock.rate
+        rates[i] = cast(ConstantRateClock, d.clock).rate
     table = ParNodeArrayTable(sim, transport, drivers, rates, lo, hi, frontier)
     delay = transport.delay_policy
     if (
@@ -964,6 +955,31 @@ def _build_worker_experiment(
     return sim, transport, graph, nodes
 
 
+def _merge_envelopes(
+    sim: Simulator, incoming: list[Envelope], barrier: float
+) -> None:
+    """Push the envelopes routed to this shard at ``barrier`` as deliveries.
+
+    Enforces the lookahead invariant -- a flushed send always delivers at
+    or past the barrier it was flushed at -- with an explicit error (not
+    an ``assert``, which ``python -O`` strips): a past-dated envelope
+    would otherwise be dispatched out of order without a trace.
+    """
+    push_keyed = sim.queue.push_keyed
+    now = sim.now
+    for t_d, key, u, v, payload, st in incoming:
+        if t_d < now:
+            raise SimulationError(
+                f"lookahead violated: envelope {u}->{v} key={key!r} "
+                f"delivers at t={t_d!r}, before barrier t={barrier!r} "
+                f"(shard clock {now!r})"
+            )
+        push_keyed(
+            t_d, PRIORITY_DELIVERY, key, KIND_DELIVER, u, v, payload, st,
+            None, "deliver", e=-2,
+        )
+
+
 def _worker_main(
     cfg: "ExperimentConfig",
     lo: int,
@@ -990,7 +1006,6 @@ def _worker_main(
         wait = 0.0
         env_out = 0
         env_in = 0
-        push_keyed = sim.queue.push_keyed
         for j, b in enumerate(barriers):
             t0 = time.perf_counter()
             sim.run_until(b)
@@ -1027,14 +1042,7 @@ def _worker_main(
             incoming: list[Envelope] = conn.recv()
             wait += time.perf_counter() - t1
             env_in += len(incoming)
-            for t_d, key, u, v, payload, st in incoming:
-                # The lookahead invariant: a flushed send always delivers
-                # past the barrier it was flushed at.
-                assert t_d >= sim.now
-                push_keyed(
-                    t_d, PRIORITY_DELIVERY, key, KIND_DELIVER, u, v, payload,
-                    st, None, "deliver", e=-2,
-                )
+            _merge_envelopes(sim, incoming, b)
         kc = sim.kind_counts
         assert kc is not None
         done = {

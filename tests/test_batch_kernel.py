@@ -12,17 +12,23 @@ API and the vectorized AdjustClock.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.batch import build_node_array_table
 from repro.core.dcsa import adjust_clocks_batch
+from repro.core.protocol import ProtocolCore
 from repro.harness import configs
 from repro.harness.runner import Experiment
 from repro.sim import simulator as simulator_mod
 from repro.sim.events import (
     KIND_DELIVER,
     KIND_DELIVER_BURST,
+    KIND_DISCOVER,
+    KIND_DISCOVER_BURST,
     KIND_NAMES,
+    KIND_SAMPLE,
     KIND_TICK_BURST,
     KIND_TIMER,
     N_KINDS,
@@ -40,6 +46,19 @@ def _run(cfg, batch, monkeypatch):
     assert exp.sim.batch is batch
     res = exp.run()
     return exp, res
+
+
+def _record_handle_calls(monkeypatch):
+    """Collect every event that reaches the scalar core handler."""
+    calls = []
+    handle = ProtocolCore.handle
+
+    def recording_handle(core, now_h, event):
+        calls.append(event)
+        return handle(core, now_h, event)
+
+    monkeypatch.setattr(ProtocolCore, "handle", recording_handle)
+    return calls
 
 
 def _fingerprint(exp, res):
@@ -82,6 +101,18 @@ PARITY_WORKLOADS = [
     ("sync_ring", lambda: configs.huge_sync_ring(64, horizon=120.0)),
     ("sync_grid", lambda: configs.huge_sync_grid(8, 8, horizon=60.0)),
     ("churn_ring", lambda: configs.huge_churn_ring(64, horizon=60.0)),
+    # Constant policies under churn: the E_0 discovery burst and the start
+    # tick group meet churn-seeded t=0 edges, mid-run flips and the
+    # record-order replay fallback.
+    (
+        "churn_ring_constant",
+        lambda: replace(
+            configs.huge_churn_ring(64, clock_spec="split"),
+            delay_spec="half",
+            discovery_spec="max",
+            stagger_ticks=False,
+        ),
+    ),
 ]
 
 
@@ -96,11 +127,21 @@ class TestParity:
         assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
 
     def test_batch_path_actually_engages(self, monkeypatch):
-        """The sync workload must hit the vectorized phases, not fall back."""
-        exp, _ = _run(configs.huge_sync_ring(64, horizon=30.0), True, monkeypatch)
-        assert exp.sim.batch_dispatches > 0
+        """The sync workload must hit the vectorized phases, not fall back.
+
+        Every same-timestamp run of the workload travels as one aggregate
+        record (start tick group, E_0 discovery burst, delivery bursts,
+        tick groups), so the proof of engagement is that no event -- not
+        even ``Start`` or a discovery -- reaches the scalar core handler.
+        """
+        handle_calls = _record_handle_calls(monkeypatch)
+        exp, res = _run(
+            configs.huge_sync_ring(64, horizon=30.0), True, monkeypatch
+        )
         table = exp.transport._batch_table
         assert table is not None and table is not False
+        assert res.transport_stats["discoveries_delivered"] == 128
+        assert handle_calls == []
 
     def test_churn_workload_falls_back_but_agrees(self, monkeypatch):
         """Churn defeats the bulk-send shortcut; record-order replay holds."""
@@ -123,6 +164,67 @@ class TestGating:
             configs.huge_sync_ring(16, horizon=5.0, algorithm="max")
         )
         assert build_node_array_table(exp.sim, exp.transport) is None
+
+    @pytest.mark.parametrize("traced", ["legacy", "spans"])
+    def test_traced_run_falls_back_with_unchanged_results(
+        self, traced, monkeypatch
+    ):
+        """Tracing keeps the t=0 wiring per node and per record.
+
+        A legacy trace is visible at construction, so ``E_0`` is announced
+        record by record; the span tracer attaches after the announcement,
+        so the burst replays through the scalar discovery at dispatch.
+        Either way every node dispatches ``Start`` itself, and the run's
+        results equal the untraced batch run's.
+        """
+        from repro.tracing import trace_session
+
+        monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
+        make = lambda: configs.huge_sync_ring(32, horizon=20.0)
+        exp_plain = Experiment(make())
+        assert sorted(ev.kind for ev in exp_plain.sim.queue.live_events()) == [
+            KIND_SAMPLE, KIND_TICK_BURST, KIND_DISCOVER_BURST,
+        ]
+        res_plain = exp_plain.run()
+        if traced == "legacy":
+            exp = Experiment(replace(make(), trace=True))
+            kinds = [ev.kind for ev in exp.sim.queue.live_events()]
+            assert kinds.count(KIND_DISCOVER) == 64
+            assert KIND_DISCOVER_BURST not in kinds
+            res = exp.run()
+        else:
+            with trace_session():
+                exp = Experiment(make())
+                kinds = [ev.kind for ev in exp.sim.queue.live_events()]
+                assert kinds.count(KIND_DISCOVER_BURST) == 1
+                res = exp.run()
+        assert kinds.count(KIND_TIMER) == 32
+        assert KIND_TICK_BURST not in kinds
+        assert exp.transport._batch_table is False
+        assert _fingerprint(exp, res) == _fingerprint(exp_plain, res_plain)
+
+    def test_start_group_replays_when_table_declines_later(self, monkeypatch):
+        """An observer attached after construction defeats the table.
+
+        The start tick group was armed while the gate held; at dispatch
+        the table declines (effect logs are per-event observers), so the
+        group replays its constituents' timers through the scalar driver,
+        logging every event, and the run equals the scalar one.
+        """
+        make = lambda: configs.huge_sync_ring(16, horizon=15.0)
+        runs = []
+        for batch in (False, True):
+            monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", batch)
+            exp = Experiment(make())
+            for node in exp.nodes.values():
+                node.effect_log = []
+            res = exp.run()
+            runs.append((exp, res))
+        (exp_s, res_s), (exp_b, res_b) = runs
+        assert exp_b.transport._batch_table is False
+        assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+        for i in exp_s.nodes:
+            assert exp_b.nodes[i].effect_log == exp_s.nodes[i].effect_log
 
     def test_maxsync_runs_unchanged_under_batch_default(self, monkeypatch):
         cfg = lambda: configs.huge_sync_ring(16, horizon=20.0, algorithm="max")
@@ -157,9 +259,28 @@ class TestEventKinds:
         # cardinality as the constituent kind.
         assert counts_b[KIND_DELIVER_BURST] == 0
         assert counts_b[KIND_TICK_BURST] == 0
+        assert counts_b[KIND_DISCOVER_BURST] == 0
         assert counts_b[KIND_DELIVER] == counts_s[KIND_DELIVER]
         assert counts_b[KIND_TIMER] == counts_s[KIND_TIMER]
+        assert counts_b[KIND_DISCOVER] == counts_s[KIND_DISCOVER] == 64
         assert counts_b == counts_s
+
+    def test_t0_wiring_cost_counters_pinned(self, monkeypatch):
+        """Deterministic cost gate: exact queue and dispatch counts.
+
+        The t=0 wiring is one start tick group and one E_0 discovery
+        burst; the first tick splits the group per rate class; the
+        greetings leave as one delivery burst.  What remains is one lost
+        timer per directed edge (128) and a handful of group, burst and
+        sample records.  The scalar kernel pushes 1249 records and
+        allocates 449 for the same run.
+        """
+        monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
+        exp = Experiment(configs.huge_sync_ring(64, horizon=3.0))
+        res = exp.run()
+        assert exp.sim.queue.pushes == 149
+        assert exp.sim.queue.allocations == 133
+        assert res.events_dispatched == 801
 
 
 class TestPopRun:
@@ -250,10 +371,13 @@ class TestAdjustClocksBatch:
 def test_huge_sync_ring_100k_smoke(monkeypatch):
     """The n=100k target scale: runs, engages the batch path, stays sane."""
     monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
+    handle_calls = _record_handle_calls(monkeypatch)
     exp = Experiment(
         configs.huge_sync_ring(100_000, horizon=3.0, sample_interval=1.0)
     )
     res = exp.run()
-    assert exp.sim.batch_dispatches > 0
+    table = exp.transport._batch_table
+    assert table is not None and table is not False
+    assert handle_calls == []
     assert res.events_dispatched > 1_000_000
     assert res.oracle_report is not None and res.oracle_report.ok

@@ -24,8 +24,9 @@ from repro.harness import configs
 from repro.harness.registry import OracleRef, RuntimeRef
 from repro.harness.runner import Experiment, ExperimentConfig, run_experiment
 from repro.network.churn import ScriptedChurn
-from repro.sim.par import genuine_shard_reason, run_par
+from repro.sim.par import _merge_envelopes, genuine_shard_reason, run_par
 from repro.sim.partition import crossing_counts, partition_ranges
+from repro.sim.simulator import SimulationError, Simulator
 from repro.telemetry.registry import get_registry
 
 
@@ -327,6 +328,34 @@ class TestGateDiagnostics:
         res = run_par(_ring_cfg(record=True), 2)
         assert res.par_fallback_reason is not None
         assert "parallel fallback" in res.summary()
+
+
+class TestLookaheadInvariant:
+    def test_past_dated_envelope_raises_named_error(self):
+        """The merge step refuses an envelope delivering before the barrier.
+
+        An explicit :class:`SimulationError` (not an ``assert``) so the
+        check survives ``python -O``; the message names the envelope.
+        """
+        sim = Simulator()
+        sim.run_until(5.0)
+        envelope = (4.5, (4.0, 2, 0.0, 1, 3, 0), 3, 7, (1.0, 1.0), 4.0)
+        with pytest.raises(SimulationError) as err:
+            _merge_envelopes(sim, [envelope], 5.0)
+        msg = str(err.value)
+        assert "3->7" in msg and "t=4.5" in msg and "barrier t=5.0" in msg
+        assert "(4.0, 2, 0.0, 1, 3, 0)" in msg
+        assert len(sim.queue) == 0
+
+    def test_envelopes_at_or_past_the_barrier_merge(self):
+        sim = Simulator()
+        sim.run_until(5.0)
+        envelopes = [
+            (5.0, (4.5, 2, 0.0, 1, 3, 0), 3, 7, (1.0, 1.0), 4.5),
+            (5.5, (5.0, 2, 0.0, 1, 3, 0), 3, 7, (1.5, 1.5), 5.0),
+        ]
+        _merge_envelopes(sim, envelopes, 5.0)
+        assert len(sim.queue) == 2
 
 
 # --------------------------------------------------------------------- #

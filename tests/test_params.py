@@ -153,3 +153,30 @@ class TestAutoB0:
     def test_explicit_b0_respected(self):
         p = SystemParams.for_network(8, b0=50.0)
         assert p.b0 == 50.0
+
+
+class TestCoreConstants:
+    def test_values_match_derived_properties(self):
+        p = SystemParams.for_network(16)
+        assert p.core_constants == (
+            p.b0, p.b_intercept, p.b_slope, p.delta_t_prime
+        )
+
+    def test_cached_without_changing_identity(self):
+        p = SystemParams.for_network(16)
+        q = SystemParams.for_network(16)
+        before = (p.to_dict(), hash(p))
+        assert p.core_constants is p.core_constants
+        assert (p.to_dict(), hash(p)) == before
+        assert p == q and hash(p) == hash(q)
+
+    def test_invalid_params_still_rejected_by_standalone_core(self):
+        from repro.core.protocol import DCSACore
+
+        bad = SystemParams(n=8, b0=1e-3)
+        with pytest.raises(ParameterError):
+            DCSACore(0, bad)
+        with pytest.raises(ParameterError):  # nothing was cached
+            DCSACore(1, bad)
+        core = DCSACore(0, SystemParams.for_network(8))
+        assert core._b_slope == core.params.b_slope
