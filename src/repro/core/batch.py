@@ -60,6 +60,12 @@ with its own equivalence argument:
   keep scalar order because extension order equals the original per-class
   push order.
 
+Every batch of bulk sends leaves through one emission step,
+:meth:`NodeArrayTable._emit_sends`, which pushes the burst record.  It is
+the kernel's only routing decision, so the parallel shard backend
+(:mod:`repro.sim.par`) runs this kernel unchanged over each shard's node
+range and overrides that step alone.
+
 **The t = 0 wiring** rides the same kernel.  :func:`start_ticks` arms the
 population's first ticks as tick groups instead of dispatching ``Start``
 per node, and ``E_0`` is announced as one
@@ -132,6 +138,8 @@ class NodeArrayTable:
     __slots__ = (
         "sim",
         "transport",
+        "lo",
+        "hi",
         "drivers",
         "cores",
         "rates",
@@ -154,18 +162,27 @@ class NodeArrayTable:
     ) -> None:
         self.sim = sim
         self.transport = transport
+        #: The transport's node range ``[lo, hi)`` (see :func:`_node_range`);
+        #: the column lists are indexed by global node id, with ``None`` /
+        #: ``0.0`` holes below ``lo``.
+        self.lo, self.hi = _node_range(transport)
         self.drivers = drivers
-        self.cores: list[DCSACore] = [d.core for d in drivers]  # type: ignore[misc]
+        self.cores = cast(
+            "list[DCSACore]",
+            [d.core if d is not None else None for d in drivers],
+        )
         #: Constant hardware rates; the plain list serves the scalar loops,
-        #: the array the fused oracle reads.
+        #: the array (over ``[lo, hi)``) the dense column reads.
         self.rates = rates
-        self.rates_arr: npt.NDArray[np.float64] = np.asarray(rates, dtype=np.float64)
-        params = self.cores[0].params
-        self.tick_interval = params.tick_interval
-        self.delta_t_prime = params.delta_t_prime
+        self.rates_arr: npt.NDArray[np.float64] = np.asarray(
+            rates[self.lo : self.hi], dtype=np.float64
+        )
         #: ``B`` function coefficients, shared by every core (the builder
         #: verified a single ``params`` object).
-        c0 = self.cores[0]
+        c0 = self.cores[self.lo]
+        params = c0.params
+        self.tick_interval = params.tick_interval
+        self.delta_t_prime = params.delta_t_prime
         self.b0 = c0._b0
         self.b_intercept = c0._b_intercept
         self.b_slope = c0._b_slope
@@ -382,8 +399,12 @@ class NodeArrayTable:
         """
         for ev in records:
             if ev.b != _TICK:
+                # Through the registered KIND_TIMER handler, so a
+                # dispatch wrapper (the parallel backend's provenance
+                # stamp) sees every record.
+                fire = self.sim._handlers[KIND_TIMER]
                 for rec in records:
-                    rec.a._fire_timer(rec.b)
+                    fire(rec)  # type: ignore[misc]
                 return
         drivers = [ev.a for ev in records]
         fts = self._tick_drivers(drivers)
@@ -404,6 +425,9 @@ class NodeArrayTable:
         """
         fts = self._tick_drivers(ev.a)
         if fts.count(fts[0]) == len(fts):
+            # Re-armed in-run now: refresh the arm time and phase.
+            ev.b = 1
+            ev.d = self.sim.now
             self.sim.queue.repush(ev, fts[0])
         else:
             _push_ticks(self.sim, ev.a, fts)
@@ -417,12 +441,13 @@ class NodeArrayTable:
         captured *before* AdjustClock exactly as the scalar handler reads
         them, and hoisting AdjustClock after the sends is sound because it
         touches only core state the sends never read.  When the bulk-send
-        guards hold (no tracing, no edge flip ever), the sends travel as
-        one burst record; otherwise each goes through
-        :meth:`Transport.send` unchanged.  Returns each driver's re-arm
-        deadline, which depends only on the post-sync ``H``; the caller
-        pushes the re-arms (a different priority class from the burst, so
-        their permuted sequence numbers are unobservable).
+        guards hold (no tracing, no edge flip ever), the sends leave
+        through the emission step :meth:`_emit_sends`; otherwise each
+        goes through :meth:`Transport.send` unchanged.  Returns each
+        driver's re-arm deadline, which depends only on the post-sync
+        ``H``; the caller pushes the re-arms (a different priority class
+        from the burst, so their permuted sequence numbers are
+        unobservable).
         """
         now = self.sim.now
         cores = self.cores
@@ -479,11 +504,11 @@ class NodeArrayTable:
             ftapp(fire_t)
             capp(core)
         if u_list:
-            self._push_deliver_burst(u_list, v_list, p_list)
+            self._emit_sends(u_list, v_list, p_list)
         adjust_clocks_batch(tick_cores)
         return fts
 
-    def discover_burst(self, nodes: list[int], others: list[int]) -> None:
+    def discover_burst(self, ev: ScheduledEvent) -> None:
         """Execute one ``E_0`` discovery burst's constituents in record order.
 
         Called by :meth:`Transport._handle_discover_burst` after its
@@ -495,8 +520,11 @@ class NodeArrayTable:
         later greetings carry the clock its earlier AdjustClock left, so
         the loop is strictly sequential.  The greetings would have been
         consecutive pushes into one ``(time, priority)`` class -- the
-        handler pushes nothing else -- so they leave as one delivery burst.
+        handler pushes nothing else -- so they leave through one call of
+        the emission step.
         """
+        nodes: list[int] = ev.a
+        others: list[int] = ev.b
         now = self.sim.now
         cores = self.cores
         drivers = self.drivers
@@ -534,7 +562,7 @@ class NodeArrayTable:
                 core.total_jump += ceiling - L
                 core.jumps += 1
                 core._L = ceiling
-        self._push_deliver_burst(nodes, others, payloads)
+        self._emit_sends(nodes, others, payloads)
 
     def can_bulk_send(self) -> bool:
         """Whether sends may bypass :meth:`Transport.send` (module doc)."""
@@ -546,10 +574,16 @@ class NodeArrayTable:
             and transport._tracer is None
         )
 
-    def _push_deliver_burst(
+    def _emit_sends(
         self, us: list[int], vs: list[int], payloads: list[Any]
     ) -> None:
-        """Push one ``KIND_DELIVER_BURST`` for bulk sends made ``now``."""
+        """The emission step: route one batch of bulk sends made ``now``.
+
+        Called once per batch (a tick fan-out, an ``E_0`` burst's
+        greetings) with the sends in scalar order.  Here they leave as one
+        ``KIND_DELIVER_BURST``; the parallel backend overrides this step
+        alone to route them between shards (see :mod:`repro.sim.par`).
+        """
         sim = self.sim
         now = sim.now
         card = len(us)
@@ -565,27 +599,41 @@ class NodeArrayTable:
     # ------------------------------------------------------------------ #
 
     def clock_column(self, t: float) -> npt.NDArray[np.float64]:
-        """``L_u(t)`` for every node as a dense array (scalar association).
+        """``L_u(t)`` for nodes ``[lo, hi)`` as a dense array.
 
         Matches ``core.logical_clock_at(rate * t)`` bitwise: the fused
         expression evaluates ``L + (h - h_last)`` elementwise in the same
         order.
         """
-        n = len(self.cores)
-        L = np.fromiter((c._L for c in self.cores), np.float64, count=n)
-        hl = np.fromiter((c.h_last for c in self.cores), np.float64, count=n)
+        cores = self.cores[self.lo : self.hi]
+        m = len(cores)
+        L = np.fromiter((c._L for c in cores), np.float64, count=m)
+        hl = np.fromiter((c.h_last for c in cores), np.float64, count=m)
         h = self.rates_arr * t
         result: npt.NDArray[np.float64] = L + (h - hl)
         return result
 
     def max_estimate_column(self, t: float) -> npt.NDArray[np.float64]:
-        """``Lmax_u(t)`` for every node as a dense array (scalar association)."""
-        n = len(self.cores)
-        lm = np.fromiter((c._Lmax for c in self.cores), np.float64, count=n)
-        hl = np.fromiter((c.h_last for c in self.cores), np.float64, count=n)
+        """``Lmax_u(t)`` for nodes ``[lo, hi)`` (scalar association)."""
+        cores = self.cores[self.lo : self.hi]
+        m = len(cores)
+        lm = np.fromiter((c._Lmax for c in cores), np.float64, count=m)
+        hl = np.fromiter((c.h_last for c in cores), np.float64, count=m)
         h = self.rates_arr * t
         result: npt.NDArray[np.float64] = lm + (h - hl)
         return result
+
+
+def _node_range(transport: "Transport") -> tuple[int, int]:
+    """The transport's registered node ids as one range ``[lo, hi)``.
+
+    Serially that is every node; a parallel shard registers only its own
+    contiguous range.  Derived from the dense registry (its length is the
+    largest id plus one), so non-contiguous ids leave a hole inside the
+    range, which the builder's per-driver gate reports.
+    """
+    hi = len(transport._node_seq)
+    return hi - len(transport._nodes), hi
 
 
 def _push_ticks(
@@ -606,9 +654,16 @@ def _push_ticks(
     constituent's position, with the constituents in list order -- sorts
     exactly where they would, and records of distinct deadlines never
     share a class, so their relative push order is unobservable.
+
+    Every record carries its arm time (``d``) and phase (``1`` in-run,
+    ``0`` at set-up) like :meth:`~repro.core.node.ClockSyncNode._arm_timer`
+    writes them -- a plain timer in ``e``, a group (whose ``e`` is its
+    cardinality) in ``b`` -- so a re-pushed record is refreshed.  The
+    parallel backend derives its provenance keys from them.
     """
     queue = sim.queue
     now = sim.now
+    phase = 1 if sim.in_run else 0
     buckets: dict[float, list[int]] = {}
     for i, ft in enumerate(fts):
         members = buckets.get(ft)
@@ -622,17 +677,19 @@ def _push_ticks(
             d = drivers[i]
             if fired is not None:
                 rec = fired[i]
+                rec.d = now
+                rec.e = phase
                 queue.repush(rec, ft)
             else:
                 rec = queue.push_typed(
                     ft, PRIORITY_TIMER, KIND_TIMER, d, _TICK, None, now, None,
-                    "timer", e=1,
+                    "timer", e=phase,
                 )
             d._timers[_TICK] = rec
         else:
             group = [drivers[i] for i in idx]
             grp = queue.push_typed(
-                ft, PRIORITY_TIMER, KIND_TICK_BURST, group, None, None, now,
+                ft, PRIORITY_TIMER, KIND_TICK_BURST, group, phase, None, now,
                 None, "tick+", e=len(group),
             )
             for d in group:
@@ -700,15 +757,19 @@ def driver_gate_reason(
 
 
 def build_node_array_table(
-    sim: Simulator, transport: "Transport"
+    sim: Simulator,
+    transport: "Transport",
+    cls: "type[NodeArrayTable]" = NodeArrayTable,
 ) -> NodeArrayTable | None:
     """Validate the execution for batch dispatch and build the dense table.
 
     Returns the table (cached under ``sim.subsystems["node_array_table"]``)
-    when every driver is a plain DCSA node on a constant-rate clock with no
-    observers attached, or ``None`` (cached as ``False`` by the caller)
-    otherwise.  Called lazily on the first batch run -- after ``t = 0``
-    wiring, so adversary clock swaps and tracer attachments are visible.
+    when every driver of the transport's node range is a plain DCSA node on
+    a constant-rate clock with no observers attached, or ``None`` (cached
+    as ``False`` by the caller) otherwise.  Called lazily on the first
+    batch run -- after ``t = 0`` wiring, so adversary clock swaps and
+    tracer attachments are visible.  ``cls`` picks the table class (the
+    parallel backend's routes sends between shards).
 
     When additionally the delay policy is a valid positive constant, the
     table's :attr:`~NodeArrayTable.send_delay` is set, enabling the
@@ -738,10 +799,11 @@ def build_node_array_table(
     if transport._trace is not None or transport._tracer is not None:
         _decline("tracing is active on the transport")
         return None
-    checked: "list[ClockSyncNode]" = []
-    rates: list[float] = []
+    lo, hi = _node_range(transport)
+    rates = [0.0] * len(drivers)
     params: Any = None
-    for i, d in enumerate(drivers):
+    for i in range(lo, hi):
+        d = drivers[i]
         reason = driver_gate_reason(i, d, node_seq)
         if reason is not None:
             _decline(reason)
@@ -752,9 +814,9 @@ def build_node_array_table(
         elif d.core.params is not params:
             _decline(f"node {i} does not share the population's SystemParams")
             return None
-        checked.append(d)
-        rates.append(cast(ConstantRateClock, d.clock).rate)
-    table = NodeArrayTable(sim, transport, checked, rates)
+        rates[i] = cast(ConstantRateClock, d.clock).rate
+    checked = cast("list[ClockSyncNode]", list(drivers))
+    table = cls(sim, transport, checked, rates)
     delay = transport.delay_policy
     if (
         type(delay) is ConstantDelay

@@ -125,10 +125,6 @@ class Transport:
         :math:`\\mathcal{D}`; discovery latencies are validated against it.
     """
 
-    #: Whether :meth:`announce_initial_edges` may aggregate ``E_0`` into
-    #: one burst record under the constant-policy gate.
-    burst_announce = True
-
     def __init__(
         self,
         sim: Simulator,
@@ -281,11 +277,7 @@ class Transport:
         sorts exactly where they would (see :meth:`_handle_discover_burst`).
         """
         now = self.sim.now
-        if (
-            not self._constant_policies
-            or not self.burst_announce
-            or self._trace is not None
-        ):
+        if not self._constant_policies or self._trace is not None:
             for u, v in self.graph.edges():
                 self._schedule_discovery(u, v, added=True, change_time=now)
                 self._schedule_discovery(v, u, added=True, change_time=now)
@@ -307,10 +299,16 @@ class Transport:
                 nodes.append(v)
                 others.append(u)
         if nodes:
-            self.sim.queue.push_typed(
-                now + lat, PRIORITY_DELIVERY, KIND_DISCOVER_BURST, nodes,
-                others, None, None, None, "discover+", e=len(nodes),
-            )
+            self._push_discover_burst(now + lat, nodes, others)
+
+    def _push_discover_burst(
+        self, t: float, nodes: list[int], others: list[int]
+    ) -> None:
+        """Push ``E_0``'s discovery burst (the parallel backend keys it)."""
+        self.sim.queue.push_typed(
+            t, PRIORITY_DELIVERY, KIND_DISCOVER_BURST, nodes, others, None,
+            None, None, "discover+", e=len(nodes),
+        )
 
     # ------------------------------------------------------------------ #
     # Sending
@@ -383,7 +381,7 @@ class Transport:
         use, after ``t = 0`` wiring), no tracing, and a topology that has
         never mutated (``edge_flips == 0`` implies no delivery can hit the
         drop path).  Anything else replays the run through the scalar
-        delivery in record order, which is exact.
+        delivery handler in record order, which is exact.
         """
         table = self._ensure_batch_table()
         if (
@@ -396,9 +394,9 @@ class Transport:
             table.deliver_batch(records)
             self.stats.delivered += len(records)
             return
-        deliver = self._deliver
+        handle = self._handle_deliver
         for ev in records:
-            deliver(ev.a, ev.b, ev.c, ev.d, ev.e)
+            handle(ev)
 
     def _ensure_batch_table(self) -> "NodeArrayTable | bool":
         """Build (once) and cache the batch dispatch table (see module doc)."""
@@ -416,16 +414,17 @@ class Transport:
 
         Registered only under the constant-policy gate (see ``__init__``),
         which makes pre-popping sound; the array fast path additionally
-        needs a valid table, else the run replays scalar timer dispatch in
-        record order, which is exact.
+        needs a valid table, else the run replays the registered scalar
+        ``KIND_TIMER`` handler in record order, which is exact.
         """
         table = self._ensure_batch_table()
         if table is not False:
             assert not isinstance(table, bool)
             table.handle_timer_batch(records)
             return
+        fire = self.sim._handlers[KIND_TIMER]
         for rec in records:
-            rec.a._fire_timer(rec.b)
+            fire(rec)  # type: ignore[misc]
 
     def _count_constituents(
         self, ev: ScheduledEvent, burst_kind: int, kind: int
@@ -461,8 +460,16 @@ class Transport:
             assert not isinstance(table, bool)
             table.handle_tick_group(ev)
             return
-        for d in ev.a:
+        for i, d in enumerate(ev.a):
+            self._enter_constituent(ev, i)
             d._fire_timer(_TICK)
+
+    def _enter_constituent(self, ev: ScheduledEvent, i: int) -> None:
+        """Hook run before constituent ``i`` of an aggregate record replays.
+
+        A no-op here; the parallel backend stamps the constituent's
+        provenance (see :mod:`repro.sim.par`).
+        """
 
     def _handle_tick_burst_run(self, records: list[ScheduledEvent]) -> None:
         """Kernel batch handler for runs of tick groups (rare tie case)."""
@@ -598,10 +605,7 @@ class Transport:
                 f"discovery latency {lat!r} outside [0, {self.discovery_bound}]"
             )
         fire_at = max(change_time + lat, self.sim.now)
-        self.sim.queue.push_typed(
-            fire_at, PRIORITY_DELIVERY, KIND_DISCOVER, node_id, other, added,
-            False, None, "discover",
-        )
+        self._push_discover(fire_at, node_id, other, added, False)
 
     def _schedule_absence_discovery(self, u: int, v: int, *, send_time: float) -> None:
         """Ensure ``u`` learns edge ``{u, v}`` is gone by ``send_time + D``."""
@@ -614,9 +618,15 @@ class Transport:
         lat = self.discovery_policy.latency(u, v, False, send_time)
         fire_at = min(send_time + lat, send_time + self.discovery_bound)
         fire_at = max(fire_at, self.sim.now)
+        self._push_discover(fire_at, u, v, False, True)
+
+    def _push_discover(
+        self, t: float, node_id: int, other: int, added: bool, absence: bool
+    ) -> None:
+        """Push one ``KIND_DISCOVER`` record (the parallel backend keys it)."""
         self.sim.queue.push_typed(
-            fire_at, PRIORITY_DELIVERY, KIND_DISCOVER, u, v, False, True,
-            None, "discover",
+            t, PRIORITY_DELIVERY, KIND_DISCOVER, node_id, other, added,
+            absence, None, "discover",
         )
 
     def _handle_discover(self, ev: ScheduledEvent) -> None:
@@ -647,12 +657,12 @@ class Transport:
         if table is not False:
             assert not isinstance(table, bool)
             if table.can_bulk_send():
-                table.discover_burst(ev.a, ev.b)
+                table.discover_burst(ev)
                 self.stats.discoveries_delivered += card
                 return
-        discover = self._discover
-        for node_id, other in zip(ev.a, ev.b):
-            discover(node_id, other, True)
+        for i, (node_id, other) in enumerate(zip(ev.a, ev.b)):
+            self._enter_constituent(ev, i)
+            self._discover(node_id, other, True)
 
     def _discover(self, node_id: int, other: int, added: bool) -> None:
         """One discovery notification at fire time (see :meth:`_handle_discover`)."""

@@ -41,8 +41,6 @@ emitted it, extended by a per-dispatch emission counter.  Dispatch-context
 prefixes (``ParTransport._gp``) are:
 
 * setup phase (initial-edge announcement): ``(0.0, -1)``;
-* per-node start marker: ``(0.0, -1, inf, node_id)`` (sorts after every
-  announcement key; defensive -- no core sends at ``Start``);
 * topology dispatch: ``(t, 0, topology_index)`` -- the per-transport
   topology counter is identical in every shard because churn replays
   everywhere;
@@ -51,8 +49,11 @@ prefixes (``ParTransport._gp``) are:
 * timer dispatch: ``(t, 2, arm_time, phase, node_id)`` -- arm time and a
   setup/run phase bit ride in the timer record's free ``d``/``e`` slots
   (see :meth:`repro.core.node.ClockSyncNode._arm_timer`); under constant
-  rates and unstaggered ticks this tuple ranks timer dispatches exactly as
-  their serial sequence numbers would.
+  rates and unstaggered ticks this tuple ranks timer dispatches exactly
+  as their serial sequence numbers would.
+
+An aggregate record's constituent dispatches under the prefix of the
+individual record it replaces (see :func:`_dispatch_prefix`).
 
 The middle elements are the event priority constants, so prefixes from
 different dispatch classes at one timestamp sort in dispatch order.
@@ -70,50 +71,53 @@ identical, so both sides agree on the predicate: the receiver delivers or
 silently drops, the sender counts ``dropped_removed`` and schedules the
 discovery.
 
-**Batch kernel under shards.**  The dense-array fast path runs per shard
-through :class:`ParNodeArrayTable` with one extra routing rule: burst
-records may only carry *interior* destinations (local nodes with no
-remote union-edge neighbour).  Frontier destinations get individual keyed
-records -- an incoming envelope could sort between two of a burst's
-constituents, and per-destination interleaving must stay exact; interior
-destinations can never receive envelopes, and deliveries to distinct
-destinations commute.  Scripted churn forces the scalar path (the gate
-records a reason), which is exact by construction.
+**Batch kernel under shards.**  Each shard runs the serial batch kernel
+(:mod:`repro.core.batch`) over its own node range, from the batched
+``t = 0`` wiring on.  :class:`ParNodeArrayTable` overrides only the
+kernel's emission step and routes each bulk send by destination:
+*interior* locals (no remote union-edge neighbour) join one keyed burst,
+*frontier* locals get individual keyed records -- an incoming envelope
+could sort between two of a burst's constituents, while interior
+destinations never receive envelopes and deliveries to distinct
+destinations commute -- and remote destinations become envelopes.
+Scripted churn forces the scalar path (the gate records a reason), which
+is exact by construction.
 """
 
 from __future__ import annotations
 
 import gc
-import math
 import multiprocessing
 import time
 import traceback
 from dataclasses import replace
 from multiprocessing.connection import Connection
 from multiprocessing.sharedctypes import RawArray
-from typing import TYPE_CHECKING, Any, Callable, cast
+from typing import TYPE_CHECKING, Any, Callable, Iterator, cast
 
 import numpy as np
 
-from ..core.batch import REASON_KEY, NodeArrayTable, driver_gate_reason
-from ..core.dcsa import adjust_clocks_batch
-from ..core.protocol import DCSACore
-from ..network.channels import ConstantDelay
+from ..core.batch import (
+    REASON_KEY,
+    NodeArrayTable,
+    build_node_array_table,
+    start_ticks,
+)
 from ..network.churn import ScriptedChurn
 from ..network.graph import DynamicGraph
 from ..network.transport import Transport
-from .clocks import ConstantRateClock, validate_drift
+from .clocks import validate_drift
 from .events import (
     KIND_DELIVER,
     KIND_DELIVER_BURST,
     KIND_DISCOVER,
+    KIND_DISCOVER_BURST,
     KIND_PAR_SHADOW,
     KIND_TICK_BURST,
     KIND_TIMER,
     KIND_TOPOLOGY,
     N_KINDS,
     PRIORITY_DELIVERY,
-    PRIORITY_TIMER,
     ScheduledEvent,
 )
 from .partition import partition_ranges
@@ -130,7 +134,6 @@ __all__ = [
     "ParTransport",
     "ParNodeArrayTable",
     "ShmNodeView",
-    "build_par_table",
 ]
 
 #: Global provenance key: a tuple comparable against every other key of its
@@ -140,8 +143,6 @@ GKey = tuple[Any, ...]
 #: Cross-shard message envelope:
 #: ``(t_deliver, key, u, v, payload, send_time)``.
 Envelope = tuple[float, GKey, int, int, Any, float]
-
-_TICK = "tick"
 
 #: Barrier-count cap: a genuine sharded run pays one IPC round trip per
 #: window, so a pathological horizon/delay ratio falls back to serial.
@@ -219,10 +220,6 @@ class ParTransport(Transport):
     and flushed by the worker at each barrier.
     """
 
-    #: ``E_0`` announcements stay individual records: each needs its own
-    #: global provenance key, which a burst record cannot carry.
-    burst_announce = False
-
     def __init__(
         self,
         sim: Simulator,
@@ -232,8 +229,6 @@ class ParTransport(Transport):
         discovery_policy: Any,
         max_delay: float,
         discovery_bound: float,
-        lo: int,
-        hi: int,
         frontier: frozenset[int],
         shadows: bool,
     ) -> None:
@@ -244,8 +239,6 @@ class ParTransport(Transport):
         #: Topology dispatch counter; identical in every shard because the
         #: full churn script replays everywhere in the same order.
         self._topo_idx = 0
-        self._lo = lo
-        self._hi = hi
         #: Local nodes with at least one remote union-edge neighbour; only
         #: these can receive envelopes, so only these are excluded from
         #: burst aggregation.
@@ -290,7 +283,7 @@ class ParTransport(Transport):
         fifo[link] = t_deliver
         key = self._gp + (self._gc,)
         self._gc += 1
-        if self._lo <= v < self._hi:
+        if v in self._nodes:
             self.sim.queue.push_keyed(
                 t_deliver, PRIORITY_DELIVERY, key, KIND_DELIVER, u, v, payload,
                 now, None, "deliver", e=-1,
@@ -309,49 +302,46 @@ class ParTransport(Transport):
     # Discovery
     # ------------------------------------------------------------------ #
 
+    def _push_discover_burst(
+        self, t: float, nodes: list[int], others: list[int]
+    ) -> None:
+        # Each constituent keeps the key its individual announcement would
+        # have consumed (see _schedule_discovery): its ordinal in the full
+        # stream -- both endpoints of every edge, in edge order -- which is
+        # the same in every shard.  The ordinals ride in the free c slot.
+        mine = self._nodes
+        base = self._gc
+        stream = [x for edge in self.graph.edges() for x in edge]
+        ords = [base + k for k, x in enumerate(stream) if x in mine]
+        self._gc = base + len(stream)
+        self.sim.queue.push_keyed(
+            t, PRIORITY_DELIVERY, self._gp + (ords[0],), KIND_DISCOVER_BURST,
+            nodes, others, ords, None, None, "discover+", e=len(nodes),
+        )
+
     def _schedule_discovery(
         self, node_id: int, other: int, *, added: bool, change_time: float
     ) -> None:
-        # The key is consumed BEFORE the locality skip: every shard then
-        # burns the same counter values for both endpoints of a topology
-        # event, so a given discovery carries the same key in the one
-        # shard that actually pushes it.
-        key = self._gp + (self._gc,)
-        self._gc += 1
         if node_id not in self._nodes:
+            # Burn the key the owning shard consumes for this discovery,
+            # so every shard numbers a topology event's discoveries alike.
+            self._gc += 1
             return
-        lat = self.discovery_policy.latency(node_id, other, added, change_time)
-        if lat < 0.0 or lat > self.discovery_bound + 1e-9:
-            raise ValueError(
-                f"discovery latency {lat!r} outside [0, {self.discovery_bound}]"
-            )
-        fire_at = max(change_time + lat, self.sim.now)
-        self.sim.queue.push_keyed(
-            fire_at, PRIORITY_DELIVERY, key, KIND_DISCOVER, node_id, other,
-            added, False, None, "discover",
+        super()._schedule_discovery(
+            node_id, other, added=added, change_time=change_time
         )
 
-    def _schedule_absence_discovery(
-        self, u: int, v: int, *, send_time: float
+    def _push_discover(
+        self, t: float, node_id: int, other: int, added: bool, absence: bool
     ) -> None:
-        # Absence discoveries only ever originate where the sender is
-        # local, and serial consumes a sequence number only when it
-        # actually pushes -- so the dedup check precedes key consumption.
-        if u not in self._nodes:
-            return
-        pair = (u, v)
-        if pair in self._pending_absence:
-            return
-        self._pending_absence.add(pair)
+        # Absence discoveries consume a key only when actually pushed (the
+        # base applies the locality and dedup checks first), as serial
+        # consumes a sequence number.
         key = self._gp + (self._gc,)
         self._gc += 1
-        lat = self.discovery_policy.latency(u, v, False, send_time)
-        fire_at = min(send_time + lat, send_time + self.discovery_bound)
-        if fire_at < self.sim.now:
-            fire_at = self.sim.now
         self.sim.queue.push_keyed(
-            fire_at, PRIORITY_DELIVERY, key, KIND_DISCOVER, u, v, False, True,
-            None, "discover",
+            t, PRIORITY_DELIVERY, key, KIND_DISCOVER, node_id, other, added,
+            absence, None, "discover",
         )
 
     def _handle_discover(self, ev: ScheduledEvent) -> None:
@@ -366,7 +356,13 @@ class ParTransport(Transport):
     # ------------------------------------------------------------------ #
 
     def _dispatch_deliver_record(self, ev: ScheduledEvent) -> None:
-        """Scalar delivery of one keyed record (local or envelope)."""
+        """Scalar delivery of one keyed record (local or envelope).
+
+        The batch table's delivery paths need neither step: a shard builds
+        the table only without churn, so no edge ever flips, the drop
+        predicate is false for envelope records too, and delivery
+        handlers never send.
+        """
         self._gp = (self.sim.now, 1) + cast(GKey, ev.seq)
         self._gc = 0
         if ev.e == -2:
@@ -388,31 +384,6 @@ class ParTransport(Transport):
     def _handle_deliver(self, ev: ScheduledEvent) -> None:
         self._dispatch_deliver_record(ev)
 
-    def _handle_deliver_batch(self, records: list[ScheduledEvent]) -> None:
-        table = self._ensure_batch_table()
-        if (
-            table is not False
-            and self.edge_flips == 0
-            and self._trace is None
-            and self._tracer is None
-        ):
-            assert not isinstance(table, bool)
-            # Envelope records (e=-2) ride the fast path too: with no edge
-            # flip ever, the drop predicate is False for every record.
-            table.deliver_batch(records)
-            self.stats.delivered += len(records)
-            return
-        for ev in records:
-            self._dispatch_deliver_record(ev)
-
-    def _handle_deliver_burst(self, ev: ScheduledEvent) -> None:
-        # Bursts only exist when churn is absent (the batch table declines
-        # under shadows), so the base scalar fallback is unreachable; the
-        # context is still set defensively for it.
-        self._gp = (self.sim.now, 1) + cast(GKey, ev.seq)
-        self._gc = 0
-        super()._handle_deliver_burst(ev)
-
     def _handle_par_shadow(self, ev: ScheduledEvent) -> None:
         """Sender-side drop check of a cross-shard delivery (see module doc)."""
         self._gp = (self.sim.now, 1) + cast(GKey, ev.seq)
@@ -425,19 +396,28 @@ class ParTransport(Transport):
             self._schedule_absence_discovery(u, v, send_time=ev.d)
 
     # ------------------------------------------------------------------ #
-    # Timers
+    # Provenance of timers, topology and aggregate records
     # ------------------------------------------------------------------ #
 
-    def _handle_timer_batch(self, records: list[ScheduledEvent]) -> None:
-        table = self._ensure_batch_table()
-        if table is not False:
-            assert not isinstance(table, bool)
-            table.handle_timer_batch(records)
-            return
-        for rec in records:
-            self._gp = (self.sim.now, 2, rec.d, rec.e, rec.a.node_id)
-            self._gc = 0
-            rec.a._fire_timer(rec.b)
+    def _enter_constituent(self, ev: ScheduledEvent, i: int) -> None:
+        self._gp = _dispatch_prefix(self.sim.now, ev, i)
+        self._gc = 0
+
+    def _handle_timer(self, ev: ScheduledEvent) -> None:
+        """Scalar ``KIND_TIMER`` dispatch under the timer's own prefix."""
+        self._enter_constituent(ev, 0)
+        ev.a._fire_timer(ev.b)
+
+    def _handle_topology(self, ev: ScheduledEvent) -> None:
+        """Graph mutation (``KIND_TOPOLOGY``) under its topology prefix."""
+        idx = self._topo_idx
+        self._topo_idx = idx + 1
+        self._gp = (self.sim.now, 0, idx)
+        self._gc = 0
+        if ev.b:
+            ev.a.add_edge(ev.c, ev.d, self.sim.now)
+        else:
+            ev.a.remove_edge(ev.c, ev.d, self.sim.now)
 
     # ------------------------------------------------------------------ #
     # Batch table
@@ -447,6 +427,8 @@ class ParTransport(Transport):
         table = self._batch_table
         if table is None:
             if self._shadows:
+                # Churn turns bulk sends off mid-run, and the kernel's
+                # per-message sends carry no provenance: scalar path.
                 self.sim.subsystems.setdefault(
                     REASON_KEY,
                     "scripted churn runs on the scalar path under the "
@@ -454,372 +436,127 @@ class ParTransport(Transport):
                 )
                 table = False
             else:
-                built = build_par_table(
-                    self.sim, self, self._lo, self._hi, self._frontier
+                built = build_node_array_table(
+                    self.sim, self, ParNodeArrayTable
                 )
                 table = built if built is not None else False
             self._batch_table = table
         return table
 
 
-class ParNodeArrayTable(NodeArrayTable):
-    """Shard-local dense batch table with frontier/envelope routing.
+def _dispatch_prefix(now: float, ev: ScheduledEvent, i: int) -> GKey:
+    """Provenance prefix of dispatching ``ev`` (its constituent ``i``).
 
-    Mirrors :class:`~repro.core.batch.NodeArrayTable` over the shard's
-    node range -- the inherited column lists are full-length with ``None``
-    holes outside ``[lo, hi)`` so global node ids index directly -- and
-    replaces the send fan-out of the timer handlers: interior local
-    destinations aggregate into one keyed burst, frontier locals get
-    individual keyed records, remote destinations become envelopes.
+    A timer dispatches under ``(t, 2, arm_time, phase, node_id)``; tick
+    group constituent ``i`` under its driver's timer prefix; ``E_0`` burst
+    constituent ``i`` under ``(t, 1) + key`` with the key of the
+    individual announcement it replaces (see the module docstring).
+    """
+    kind = ev.kind
+    if kind == KIND_TIMER:
+        return (now, 2, ev.d, ev.e, ev.a.node_id)
+    if kind == KIND_TICK_BURST:
+        return (now, 2, ev.d, ev.b, ev.a[i].node_id)
+    key = cast(GKey, ev.seq)
+    return (now, 1) + key[:-1] + (ev.c[i],)
+
+
+def _constituents(src: Any) -> Iterator[tuple[int, Any, int]]:
+    """``(node_id, record, i)`` per constituent of a dispatched batch."""
+    if type(src) is list:
+        for rec in src:
+            yield rec.a.node_id, rec, 0
+    elif src.kind == KIND_TICK_BURST:
+        for i, d in enumerate(src.a):
+            yield d.node_id, src, i
+    else:
+        for i, u in enumerate(src.a):
+            yield u, src, i
+
+
+class ParNodeArrayTable(NodeArrayTable):
+    """The serial batch table with a shard-routing emission step.
+
+    The handler overrides only remember the dispatching records; the
+    kernel itself runs unchanged over the shard's node range.
+    :meth:`_emit_sends` keys every bulk send by its global provenance and
+    routes it: interior local destinations aggregate into one keyed burst,
+    frontier locals get individual keyed records, remote destinations
+    become envelopes (see the module docstring).
     """
 
-    __slots__ = ("lo", "hi", "frontier", "par_transport")
+    __slots__ = ("_src",)
 
-    def __init__(
-        self,
-        sim: Simulator,
-        transport: ParTransport,
-        drivers: "list[ClockSyncNode | None]",
-        rates: list[float],
-        lo: int,
-        hi: int,
-        frontier: frozenset[int],
-    ) -> None:
-        # Deliberately no super().__init__: the base snapshots cores for
-        # every driver slot, and remote slots are holes here.
-        self.sim = sim
-        self.transport = transport
-        self.par_transport = transport
-        self.drivers = cast("list[ClockSyncNode]", drivers)
-        self.cores = cast(
-            "list[DCSACore]",
-            [d.core if d is not None else None for d in drivers],
-        )
-        self.rates = rates
-        self.rates_arr = np.asarray(rates[lo:hi], dtype=np.float64)
-        c0 = self.cores[lo]
-        params = c0.params
-        self.tick_interval = params.tick_interval
-        self.delta_t_prime = params.delta_t_prime
-        self.b0 = c0._b0
-        self.b_intercept = c0._b_intercept
-        self.b_slope = c0._b_slope
-        self.send_delay = None
-        self._ups_sorted = [None] * len(drivers)
-        self.lo = lo
-        self.hi = hi
-        self.frontier = frontier
-
-    # ------------------------------------------------------------------ #
-    # Timer batch (keyed fan-out)
-    # ------------------------------------------------------------------ #
+    #: The batch being dispatched: fired timer records, or a tick group or
+    #: ``E_0`` burst record.
+    _src: Any
 
     def handle_timer_batch(self, records: list[ScheduledEvent]) -> None:
-        """Keyed mirror of :meth:`NodeArrayTable.handle_timer_batch`."""
-        transport = self.par_transport
-        sim = self.sim
-        now = sim.now
-        delayv = self.send_delay
-        if (
-            delayv is None
-            or transport.edge_flips != 0
-            or any(ev.b != _TICK for ev in records)
-        ):
-            # Mixed or non-bulk run: scalar replay in record order, each
-            # dispatch under its own timer provenance context.
-            for rec in records:
-                transport._gp = (now, 2, rec.d, rec.e, rec.a.node_id)
-                transport._gc = 0
-                rec.a._fire_timer(rec.b)
-            return
-        cores = self.cores
-        rates = self.rates
-        queue = sim.queue
-        push_keyed = queue.push_keyed
-        lo = self.lo
-        hi = self.hi
-        frontier = self.frontier
-        ups_sorted = self._ups_sorted
-        ti = self.tick_interval
-        envelopes = transport._envelopes
-        t_del = now + delayv
-        u_list: list[int] = []
-        v_list: list[int] = []
-        p_list: list[Any] = []
-        burst_key: GKey | None = None
-        tick_cores: list[DCSACore] = []
-        fts: list[float] = []
-        sent = 0
-        for ev in records:
-            d = ev.a
-            nid = d.node_id
-            core = cores[nid]
-            h = rates[nid] * now
-            dh = h - core.h_last
-            if dh != 0.0:
-                core._L += dh
-                core._Lmax += dh
-                for row in core.gamma._rows.values():
-                    row.l_est += dh
-                core.h_last = h
-            d._t_last = now
-            ups = core.upsilon
-            if ups:
-                payload = (core._L, core._Lmax)
-                k = len(ups)
-                entry = ups_sorted[nid]
-                if entry is None or len(entry[0]) != k:
-                    entry = (sorted(ups), (nid,) * k)
-                    ups_sorted[nid] = entry
-                core.messages_sent += k
-                sent += k
-                gp: GKey = (now, 2, ev.d, ev.e, nid)
-                ctr = 0
-                for v in entry[0]:
-                    key = gp + (ctr,)
-                    ctr += 1
-                    if v < lo or v >= hi:
-                        envelopes.append((t_del, key, nid, v, payload, now))
-                    elif v in frontier:
-                        # Frontier destination: an envelope could sort
-                        # between burst constituents aimed at it, so it
-                        # must stay an individual record.
-                        push_keyed(
-                            t_del, PRIORITY_DELIVERY, key, KIND_DELIVER, nid,
-                            v, payload, now, None, "deliver", e=-1,
-                        )
-                    else:
-                        if burst_key is None:
-                            burst_key = key
-                        u_list.append(nid)
-                        v_list.append(v)
-                        p_list.append(payload)
-            fire_t = (h + ti) / rates[nid]
-            if fire_t < now:
-                fire_t = now
-            fts.append(fire_t)
-            tick_cores.append(core)
-        transport.stats.sent += sent
-        if u_list:
-            assert burst_key is not None
-            push_keyed(
-                t_del, PRIORITY_DELIVERY, burst_key, KIND_DELIVER_BURST,
-                u_list, v_list, p_list, now, None, "deliver+", e=len(u_list),
-            )
-        # Tick re-arm (timer class, integer seqs -- never merged across
-        # shards).  Group records store the arm time in d and the
-        # cardinality in e; individual re-pushes refresh (d, e) so the
-        # next dispatch's provenance prefix is exact.
-        if len(records) > 1 and fts.count(fts[0]) == len(fts):
-            grp = queue.push_typed(
-                fts[0], PRIORITY_TIMER, KIND_TICK_BURST,
-                [ev.a for ev in records], None, None, now, None, "tick+",
-                e=len(records),
-            )
-            for ev in records:
-                ev.a._timers[_TICK] = grp
-        else:
-            for ev, ft in zip(records, fts):
-                ev.d = now
-                ev.e = 1
-                queue.repush(ev, ft)
-                ev.a._timers[_TICK] = ev
-        adjust_clocks_batch(tick_cores)
+        self._src = records
+        super().handle_timer_batch(records)
 
     def handle_tick_group(self, ev: ScheduledEvent) -> None:
-        """Keyed mirror of :meth:`NodeArrayTable.handle_tick_group`."""
-        transport = self.par_transport
-        sim = self.sim
-        now = sim.now
-        delayv = self.send_delay
-        cores = self.cores
-        rates = self.rates
-        queue = sim.queue
-        push_keyed = queue.push_keyed
-        lo = self.lo
-        hi = self.hi
-        frontier = self.frontier
-        ups_sorted = self._ups_sorted
-        ti = self.tick_interval
-        envelopes = transport._envelopes
-        bulk = delayv is not None and transport.edge_flips == 0
-        drivers_list = ev.a
-        arm = ev.d
-        u_list: list[int] = []
-        v_list: list[int] = []
-        p_list: list[Any] = []
-        burst_key: GKey | None = None
-        tick_cores: list[DCSACore] = []
-        sent = 0
-        ft0 = -1.0
-        same = True
-        for d in drivers_list:
-            nid = d.node_id
-            core = cores[nid]
-            h = rates[nid] * now
-            dh = h - core.h_last
-            if dh != 0.0:
-                core._L += dh
-                core._Lmax += dh
-                for row in core.gamma._rows.values():
-                    row.l_est += dh
-                core.h_last = h
-            d._t_last = now
-            ups = core.upsilon
-            if ups:
-                payload = (core._L, core._Lmax)
-                gp: GKey = (now, 2, arm, 1, nid)
-                if bulk:
-                    k = len(ups)
-                    entry = ups_sorted[nid]
-                    if entry is None or len(entry[0]) != k:
-                        entry = (sorted(ups), (nid,) * k)
-                        ups_sorted[nid] = entry
-                    core.messages_sent += k
-                    sent += k
-                    t_del = now + cast(float, delayv)
-                    ctr = 0
-                    for v in entry[0]:
-                        key = gp + (ctr,)
-                        ctr += 1
-                        if v < lo or v >= hi:
-                            envelopes.append((t_del, key, nid, v, payload, now))
-                        elif v in frontier:
-                            push_keyed(
-                                t_del, PRIORITY_DELIVERY, key, KIND_DELIVER,
-                                nid, v, payload, now, None, "deliver", e=-1,
-                            )
-                        else:
-                            if burst_key is None:
-                                burst_key = key
-                            u_list.append(nid)
-                            v_list.append(v)
-                            p_list.append(payload)
-                else:
-                    # Defensive (groups only form while bulk held and no
-                    # churn exists in table mode): full keyed send path.
-                    transport._gp = gp
-                    transport._gc = 0
-                    for v in sorted(ups):
-                        core.messages_sent += 1
-                        transport.send(nid, v, payload)
-            fire_t = (h + ti) / rates[nid]
-            if fire_t < now:
-                fire_t = now
-            if ft0 < 0.0:
-                ft0 = fire_t
-            elif fire_t != ft0:
-                same = False
-            tick_cores.append(core)
-        transport.stats.sent += sent
-        if u_list:
-            assert burst_key is not None and delayv is not None
-            push_keyed(
-                now + delayv, PRIORITY_DELIVERY, burst_key,
-                KIND_DELIVER_BURST, u_list, v_list, p_list, now, None,
-                "deliver+", e=len(u_list),
-            )
-        if same:
-            # Steady state: the group re-pushes itself with a fresh arm
-            # time; every driver's timer entry already aliases it.
-            ev.d = now
-            queue.repush(ev, ft0)
-        else:
-            for d in drivers_list:
-                nid = d.node_id
-                core = cores[nid]
-                fire_t = (core.h_last + ti) / rates[nid]
-                if fire_t < now:
-                    fire_t = now
-                rec = queue.push_typed(
-                    fire_t, PRIORITY_TIMER, KIND_TIMER, d, _TICK, None, now,
-                    None, "timer", e=1,
-                )
-                d._timers[_TICK] = rec
-        adjust_clocks_batch(tick_cores)
+        self._src = ev
+        super().handle_tick_group(ev)
 
-    # ------------------------------------------------------------------ #
-    # Dense sample writes
-    # ------------------------------------------------------------------ #
+    def discover_burst(self, ev: ScheduledEvent) -> None:
+        self._src = ev
+        super().discover_burst(ev)
 
-    def write_sample_columns(
-        self,
-        t: float,
-        out_clock: "np.ndarray[Any, np.dtype[np.float64]]",
-        out_max: "np.ndarray[Any, np.dtype[np.float64]]",
+    def _emit_sends(
+        self, us: list[int], vs: list[int], payloads: list[Any]
     ) -> None:
-        """Write ``L_u(t)``/``Lmax_u(t)`` for the shard's range into shm.
-
-        Bitwise equal to the per-node reader loop: the fused expression
-        evaluates ``L + (h - h_last)`` elementwise in the same association
-        order as ``core.logical_clock_at(rate * t)`` (the
-        :meth:`~repro.core.batch.NodeArrayTable.clock_column` contract).
-        """
+        transport = cast(ParTransport, self.transport)
+        now = self.sim.now
+        t_del = now + cast(float, self.send_delay)
+        push_keyed = self.sim.queue.push_keyed
+        envelopes = transport._envelopes
+        frontier = transport._frontier
         lo = self.lo
         hi = self.hi
-        m = hi - lo
-        cores = self.cores[lo:hi]
-        L = np.fromiter((c._L for c in cores), np.float64, count=m)
-        lm = np.fromiter((c._Lmax for c in cores), np.float64, count=m)
-        hl = np.fromiter((c.h_last for c in cores), np.float64, count=m)
-        h = self.rates_arr * t
-        out_clock[lo:hi] = L + (h - hl)
-        out_max[lo:hi] = lm + (h - hl)
-
-
-def build_par_table(
-    sim: Simulator,
-    transport: ParTransport,
-    lo: int,
-    hi: int,
-    frontier: frozenset[int],
-) -> ParNodeArrayTable | None:
-    """Shard-local analogue of :func:`~repro.core.batch.build_node_array_table`.
-
-    Validates only the shard's own drivers (remote slots stay holes) and
-    never publishes under the base table's subsystem key -- partial
-    coverage must not be mistaken for a full table by other readers.
-    Decline reasons land under the shared ``REASON_KEY``.
-    """
-
-    def _decline(reason: str) -> None:
-        sim.subsystems.setdefault(REASON_KEY, reason)
-
-    node_table = sim.subsystems.get("node_table")
-    if node_table is None:
-        _decline("no dense node table attached to the simulator")
-        return None
-    drivers: "list[ClockSyncNode | None]" = node_table.drivers
-    if len(drivers) < hi:
-        _decline("node table does not cover the shard's id range")
-        return None
-    if transport._trace is not None or transport._tracer is not None:
-        _decline("tracing is active on the transport")
-        return None
-    node_seq = transport._node_seq
-    rates = [0.0] * len(drivers)
-    params: Any = None
-    for i in range(lo, hi):
-        d = drivers[i]
-        reason = driver_gate_reason(i, d, node_seq)
-        if reason is not None:
-            _decline(reason)
-            return None
-        assert d is not None
-        if params is None:
-            params = d.core.params
-        elif d.core.params is not params:
-            _decline(f"node {i} does not share the population's SystemParams")
-            return None
-        rates[i] = cast(ConstantRateClock, d.clock).rate
-    table = ParNodeArrayTable(sim, transport, drivers, rates, lo, hi, frontier)
-    delay = transport.delay_policy
-    if (
-        type(delay) is ConstantDelay
-        and 0.0 < delay.value <= transport.max_delay + 1e-9
-    ):
-        table.send_delay = delay.value
-    return table
+        src = self._src
+        # A tick's sends share their driver's prefix and count up; each
+        # E_0 greeting is a constituent of its own.
+        greetings = type(src) is not list and src.kind == KIND_DISCOVER_BURST
+        owners = _constituents(src)
+        u_in: list[int] = []
+        v_in: list[int] = []
+        p_in: list[Any] = []
+        burst_key: GKey | None = None
+        last = -1
+        gp: GKey = ()
+        ctr = 0
+        for u, v, payload in zip(us, vs, payloads):
+            if greetings or u != last:
+                for owner, rec, i in owners:
+                    if owner == u:
+                        break
+                else:
+                    raise SimulationError(f"bulk send from {u} has no sender")
+                gp = _dispatch_prefix(now, rec, i)
+                ctr = 0
+                last = u
+            key = gp + (ctr,)
+            ctr += 1
+            if v < lo or v >= hi:
+                envelopes.append((t_del, key, u, v, payload, now))
+            elif v in frontier:
+                push_keyed(
+                    t_del, PRIORITY_DELIVERY, key, KIND_DELIVER, u, v,
+                    payload, now, None, "deliver", e=-1,
+                )
+            else:
+                if burst_key is None:
+                    burst_key = key
+                u_in.append(u)
+                v_in.append(v)
+                p_in.append(payload)
+        transport.stats.sent += len(us)
+        if burst_key is not None:
+            push_keyed(
+                t_del, PRIORITY_DELIVERY, burst_key, KIND_DELIVER_BURST, u_in,
+                v_in, p_in, now, None, "deliver+", e=len(u_in),
+            )
 
 
 # ---------------------------------------------------------------------- #
@@ -893,8 +630,6 @@ def _build_worker_experiment(
         ),
         max_delay=params.max_delay,
         discovery_bound=params.discovery_bound,
-        lo=lo,
-        hi=hi,
         frontier=frontier,
         shadows=bool(cfg.churn),
     )
@@ -918,25 +653,10 @@ def _build_worker_experiment(
     # Keyed dispatch wrappers: every timer/topology dispatch stamps its
     # provenance prefix before running, so keyed pushes it emits land at
     # their global serial position.  Direct list assignment -- the node
-    # table registered the plain dispatcher and set_handler refuses
-    # replacements.
-    def _timer_dispatch(ev: ScheduledEvent) -> None:
-        transport._gp = (sim.now, 2, ev.d, ev.e, ev.a.node_id)
-        transport._gc = 0
-        ev.a._fire_timer(ev.b)
-
-    def _topology_dispatch(ev: ScheduledEvent) -> None:
-        idx = transport._topo_idx
-        transport._topo_idx = idx + 1
-        transport._gp = (sim.now, 0, idx)
-        transport._gc = 0
-        if ev.b:
-            ev.a.add_edge(ev.c, ev.d, sim.now)
-        else:
-            ev.a.remove_edge(ev.c, ev.d, sim.now)
-
-    sim._handlers[KIND_TIMER] = _timer_dispatch
-    sim._handlers[KIND_TOPOLOGY] = _topology_dispatch
+    # table and the kernel registered the plain handlers and set_handler
+    # refuses replacements.
+    sim._handlers[KIND_TIMER] = transport._handle_timer
+    sim._handlers[KIND_TOPOLOGY] = transport._handle_topology
 
     transport._gp = (0.0, -1)
     transport._gc = 0
@@ -945,13 +665,12 @@ def _build_worker_experiment(
     for proc in cfg.churn:
         assert isinstance(proc, ScriptedChurn)
         proc.install(sim, graph)
-    for i in sorted(nodes):
-        # Per-start marker: sorts after every announcement key; defensive
-        # (no shipped core sends at Start), but keeps even hypothetical
-        # start-time sends deterministically placed.
-        transport._gp = (0.0, -1, math.inf, i)
-        transport._gc = 0
-        nodes[i].start()
+    # The serial harness's start (see Experiment): no shipped core sends
+    # at Start, so the scalar fallback needs no provenance prefix.
+    local = list(nodes.values())
+    if not start_ticks(transport, local):
+        for node in local:
+            node.start()
     return sim, transport, graph, nodes
 
 
@@ -1011,8 +730,9 @@ def _worker_main(
             sim.run_until(b)
             if b in sample_set:
                 table = transport._batch_table
-                if isinstance(table, ParNodeArrayTable):
-                    table.write_sample_columns(b, block[0], block[1])
+                if isinstance(table, NodeArrayTable):
+                    block[0, lo:hi] = table.clock_column(b)
+                    block[1, lo:hi] = table.max_estimate_column(b)
                 else:
                     row_c = block[0]
                     row_m = block[1]
@@ -1268,6 +988,22 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
     conns: list[Connection] = []
     procs: list[Any] = []
     dones: list[dict[str, Any]] = [{} for _ in range(k)]
+
+    def _recv(w: int) -> Any:
+        """Shard ``w``'s next message; a failed or dead worker raises."""
+        try:
+            msg = conns[w].recv()
+        except EOFError:
+            # Exited without reporting (killed, os._exit): name the shard.
+            procs[w].join(timeout=5.0)
+            a, b = ranges[w]
+            raise RuntimeError(
+                f"parallel shard worker {w} (nodes [{a}, {b})) exited "
+                f"with code {procs[w].exitcode} without reporting"
+            ) from None
+        if msg[0] == "err":
+            raise RuntimeError(f"parallel shard worker {w} failed:\n{msg[1]}")
+        return msg
     try:
         for w, (a, b) in enumerate(ranges):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
@@ -1288,12 +1024,8 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
         for j, b in enumerate(barriers):
             cur_window[0] = j
             outs: list[list[Envelope]] = []
-            for w, conn in enumerate(conns):
-                msg = conn.recv()
-                if msg[0] == "err":
-                    raise RuntimeError(
-                        f"parallel shard worker {w} failed:\n{msg[1]}"
-                    )
+            for w in range(k):
+                msg = _recv(w)
                 telem[w] = msg[3]
                 outs.append(msg[2])
             coord_sim.run_until(b)
@@ -1303,13 +1035,8 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
                     inboxes[shard_of[env[3]]].append(env)
             for conn, inbox in zip(conns, inboxes):
                 conn.send(inbox)
-        for w, conn in enumerate(conns):
-            msg = conn.recv()
-            if msg[0] == "err":
-                raise RuntimeError(
-                    f"parallel shard worker {w} failed:\n{msg[1]}"
-                )
-            dones[w] = msg[1]
+        for w in range(k):
+            dones[w] = _recv(w)[1]
         for proc in procs:
             proc.join(timeout=30.0)
     finally:

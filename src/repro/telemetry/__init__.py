@@ -21,7 +21,6 @@ from .registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    SpanTimer,
     active_registry,
     get_registry,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "GcWatcher",
     "Histogram",
     "MetricsRegistry",
-    "SpanTimer",
     "TelemetrySampler",
     "active_registry",
     "build_frame",

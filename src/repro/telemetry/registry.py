@@ -9,13 +9,11 @@ part of :class:`~repro.harness.runner.ExperimentConfig`: the config dict is
 the content-address of cached sweep results, and attaching a pure observer
 must not change a run's identity any more than it may change its behaviour.
 
-Four instrument kinds:
+Three instrument kinds:
 
 * :class:`Counter` -- monotone event count (``inc``);
 * :class:`Gauge` -- last-written level (``set``);
-* :class:`Histogram` -- fixed log-spaced buckets, O(#buckets) memory;
-* :class:`SpanTimer` -- a context manager feeding wall-clock spans into a
-  histogram.
+* :class:`Histogram` -- fixed log-spaced buckets, O(#buckets) memory.
 
 Hot subsystems that already keep their own counters (e.g.
 :class:`~repro.network.transport.TransportStats`) do not double-count into
@@ -35,8 +33,6 @@ from __future__ import annotations
 
 import math
 import threading
-import time
-from types import TracebackType
 from typing import Any, Callable, Iterable
 
 __all__ = [
@@ -44,7 +40,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SpanTimer",
     "active_registry",
     "get_registry",
 ]
@@ -124,28 +119,6 @@ class Histogram:
     def mean(self) -> float | None:
         """Mean observation, or ``None`` before the first one."""
         return self.total / self.count if self.count else None
-
-
-class SpanTimer:
-    """Times ``with``-blocks into a histogram of span durations (seconds)."""
-
-    __slots__ = ("histogram", "_t0")
-
-    def __init__(self, histogram: Histogram) -> None:
-        self.histogram = histogram
-        self._t0 = 0.0
-
-    def __enter__(self) -> "SpanTimer":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        self.histogram.observe(time.perf_counter() - self._t0)
 
 
 def _clean(value: Any) -> float | int | None:
@@ -228,10 +201,6 @@ class MetricsRegistry:
             if inst is None:
                 inst = self._histograms[name] = Histogram(name, bounds)
             return inst
-
-    def timer(self, name: str, bounds: Iterable[float] = DEFAULT_BOUNDS) -> SpanTimer:
-        """A span timer feeding the histogram called ``name``."""
-        return SpanTimer(self.histogram(name, bounds))
 
     # ------------------------------------------------------------------ #
     # Polled readbacks (subsystems that keep their own counters)

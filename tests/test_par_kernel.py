@@ -13,18 +13,27 @@ telemetry get unit coverage alongside.
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.protocol import SystemParams
+from repro.core.protocol import ProtocolCore, SystemParams
 from repro.harness import configs
 from repro.harness.registry import OracleRef, RuntimeRef
 from repro.harness.runner import Experiment, ExperimentConfig, run_experiment
 from repro.network.churn import ScriptedChurn
-from repro.sim.par import _merge_envelopes, genuine_shard_reason, run_par
+from repro.sim import par as par_mod
+from repro.sim.events import KIND_TICK_BURST
+from repro.sim.par import (
+    ParNodeArrayTable,
+    _build_worker_experiment,
+    _merge_envelopes,
+    genuine_shard_reason,
+    run_par,
+)
 from repro.sim.partition import crossing_counts, partition_ranges
 from repro.sim.simulator import SimulationError, Simulator
 from repro.telemetry.registry import get_registry
@@ -191,6 +200,11 @@ class TestParity:
         # exercise the cross-shard shadow path.
         assert serial.transport_stats["dropped_removed"] > 0
 
+    def test_tick_groups_split_inside_shards_bitwise(self):
+        # Alternating rate classes put both classes into every shard, so
+        # each shard's start group splits into one group per deadline.
+        _assert_parity(_ring_cfg(clock_spec="alternating"))
+
     def test_discovery_zero_bitwise(self):
         _assert_parity(_ring_cfg(discovery_spec="zero"))
 
@@ -328,6 +342,68 @@ class TestGateDiagnostics:
         res = run_par(_ring_cfg(record=True), 2)
         assert res.par_fallback_reason is not None
         assert "parallel fallback" in res.summary()
+
+
+class TestWorkerBatchedStart:
+    """Shard workers take the serial kernel's batched t=0 path."""
+
+    def test_worker_never_reaches_the_scalar_core(self, monkeypatch):
+        calls = []
+        handle = ProtocolCore.handle
+
+        def spy(self, now_h, event):
+            calls.append(type(event).__name__)
+            return handle(self, now_h, event)
+
+        monkeypatch.setattr(ProtocolCore, "handle", spy)
+        cfg = configs.huge_sync_ring(64, horizon=10.0)
+        sim, transport, _graph, nodes = _build_worker_experiment(
+            cfg, 0, 32, frozenset({0, 31})
+        )
+        assert len(nodes) == 32
+        sim.run_until(float(cfg.horizon))
+        assert isinstance(transport._batch_table, ParNodeArrayTable)
+        assert transport._envelopes  # the remote half was sent to
+        assert calls == []
+
+    def test_tick_groups_split_per_deadline_inside_a_shard(self):
+        cfg = _ring_cfg(clock_spec="alternating")
+        sim, transport, _graph, _nodes = _build_worker_experiment(
+            cfg, 0, 24, frozenset({0, 23})
+        )
+        # The start group fires at t=0 and re-arms one group per rate class.
+        sim.run_until(0.0)
+        assert isinstance(transport._batch_table, ParNodeArrayTable)
+        groups = [
+            ev for ev in sim.queue.live_events() if ev.kind == KIND_TICK_BURST
+        ]
+        assert sorted(len(ev.a) for ev in groups) == [12, 12]
+        assert len({ev.time for ev in groups}) == 2
+
+
+class TestDeadWorker:
+    def test_worker_exit_without_report_names_the_shard(self, monkeypatch):
+        """A worker that dies silently (OOM kill, ``os._exit``) is named.
+
+        The patched target is inherited by the forked workers; shard 1
+        exits before reporting anything.
+        """
+        worker_main = par_mod._worker_main
+
+        def dying(cfg, lo, hi, *rest):
+            if lo != 0:
+                os._exit(3)
+            worker_main(cfg, lo, hi, *rest)
+
+        monkeypatch.setattr(par_mod, "_worker_main", dying)
+        cfg = _ring_cfg(n=24, horizon=10.0)
+        lo, hi = partition_ranges(24, 2, cfg.initial_edges)[1]
+        with pytest.raises(RuntimeError) as err:
+            run_par(cfg, 2)
+        msg = str(err.value)
+        assert "worker 1" in msg
+        assert f"nodes [{lo}, {hi})" in msg
+        assert "code 3" in msg
 
 
 class TestLookaheadInvariant:
